@@ -10,6 +10,23 @@ order.
 
 Fields can opt out of the canonical form (secrets, derived caches) by
 declaring ``metadata={"canon": "exclude"}`` on the dataclass field.
+
+The codec reflects on a record class once, on its first use, and caches the
+result by class:
+
+* the encode plan holds the class's sorted, non-excluded field names, each
+  with its ``"name":`` key rendered once; field values are rendered by an
+  encoder memoized per concrete value type;
+* the decode plan holds the class's type hints, resolved once and compiled
+  into one decoder per field, along with the allowed field set and the
+  value each absent field takes.
+
+A plan is a pure function of its class, so threads that race to build the
+same one publish equal copies and the caches need no lock.
+
+``format_float``, ``format_datetime`` and ``parse_datetime`` are the single
+rendering authority for numbers and timestamps outside JSON lines too
+(report anchors, corpus headers, CSV bundles, the audit hash).
 """
 
 from __future__ import annotations
@@ -23,6 +40,13 @@ import re
 import types
 import typing
 from datetime import date, datetime, timezone
+from json.encoder import encode_basestring, encode_basestring_ascii
+
+__all__ = [
+    "CanonError", "canonical_encode", "canonical_decode", "canonical_digest",
+    "digest_bytes", "digest_text", "format_float", "format_datetime",
+    "parse_datetime",
+]
 
 
 class CanonError(ValueError):
@@ -34,8 +58,12 @@ _TS_RE = re.compile(
 )
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
 
+_Encoder = typing.Callable[[typing.Any], str]
+_Decoder = typing.Callable[[typing.Any], typing.Any]
 
-def _format_float(x: float) -> str:
+
+def format_float(x: float) -> str:
+    """Shortest round-tripping decimal, without a trailing ``.0``."""
     if math.isnan(x) or math.isinf(x):
         raise CanonError("non-finite float has no canonical form")
     if x == 0.0:
@@ -46,7 +74,8 @@ def _format_float(x: float) -> str:
     return s
 
 
-def _format_datetime(dt: datetime) -> str:
+def format_datetime(dt: datetime) -> str:
+    """RFC 3339 UTC with a ``Z`` suffix; fractional seconds only when nonzero."""
     if dt.tzinfo is None:
         raise CanonError("naive datetime has no canonical form; attach UTC")
     dt = dt.astimezone(timezone.utc)
@@ -57,56 +86,139 @@ def _format_datetime(dt: datetime) -> str:
     return base + "Z"
 
 
+def parse_datetime(s: str) -> datetime:
+    """Inverse of :func:`format_datetime`; the result is UTC-aware."""
+    m = _TS_RE.match(s) if isinstance(s, str) else None
+    if m:
+        y, mo, d, hh, mm, ss, frac = m.groups()
+        micro = int((frac or "").ljust(6, "0") or 0)
+        try:
+            return datetime(int(y), int(mo), int(d), int(hh), int(mm), int(ss),
+                            micro, tzinfo=timezone.utc)
+        except ValueError:
+            pass  # shaped like a timestamp, but no such instant
+    raise CanonError(f"bad timestamp {s!r}")
+
+
+def _parse_date(s: str) -> date:
+    m = _DATE_RE.match(s) if isinstance(s, str) else None
+    if m:
+        try:
+            return date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        except ValueError:
+            pass
+    raise CanonError(f"bad date {s!r}")
+
+
+# ---------------------------------------------------------------------------
+# encoding
+
+# concrete value type -> its encoder; record classes -> their plan's encoder
+_VALUE_ENCODERS: dict[type, _Encoder] = {}
+_RECORD_ENCODERS: dict[type, _Encoder] = {}
+
+
 def _encode_value(value: typing.Any) -> str:
-    if value is None:
-        raise CanonError("None reaches the encoder only through a bug")
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, enum.Enum):
-        return json.dumps(value.name)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, datetime):
-        return json.dumps(_format_datetime(value))
-    if isinstance(value, date):
-        return json.dumps(value.strftime("%Y-%m-%d"))
-    if isinstance(value, bytes):
-        raise CanonError("raw bytes are never serialized")
-    if dataclasses.is_dataclass(value):
-        return _encode_record(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_encode_value(v) for v in value) + "]"
-    if isinstance(value, dict):
-        items = []
-        for k in sorted(value):
-            if not isinstance(k, str):
-                raise CanonError(f"map keys must be strings, got {type(k).__name__}")
-            items.append(json.dumps(k, ensure_ascii=False) + ":" + _encode_value(value[k]))
-        return "{" + ",".join(items) + "}"
-    raise CanonError(f"no canonical form for {type(value).__name__}")
+    tp = type(value)
+    return (_VALUE_ENCODERS.get(tp) or _value_encoder(tp))(value)
 
 
-def _encode_record(record: typing.Any) -> str:
-    pairs = []
-    for f in sorted(dataclasses.fields(record), key=lambda f: f.name):
-        if f.metadata.get("canon") == "exclude":
-            continue
-        v = getattr(record, f.name)
-        if v is None:
-            continue
-        pairs.append(json.dumps(f.name) + ":" + _encode_value(v))
-    return "{" + ",".join(pairs) + "}"
+def _raising(message: str) -> _Encoder:
+    def encode(value: typing.Any) -> str:
+        raise CanonError(message)
+    return encode
+
+
+def _encode_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _encode_enum(value: enum.Enum) -> str:
+    # _name_ is what .name returns, without the cost of the property
+    return encode_basestring_ascii(value._name_)
+
+
+def _encode_datetime(value: datetime) -> str:
+    return '"' + format_datetime(value) + '"'
+
+
+def _encode_date(value: date) -> str:
+    return '"' + value.strftime("%Y-%m-%d") + '"'
+
+
+def _encode_sequence(values: list | tuple) -> str:
+    return "[" + ",".join([_encode_value(v) for v in values]) + "]"
+
+
+def _encode_mapping(mapping: dict) -> str:
+    items = []
+    for k in sorted(mapping):
+        if not isinstance(k, str):
+            raise CanonError(f"map keys must be strings, got {type(k).__name__}")
+        items.append(encode_basestring(k) + ":" + _encode_value(mapping[k]))
+    return "{" + ",".join(items) + "}"
+
+
+def _value_encoder(tp: type) -> _Encoder:
+    # bool before Enum before int: bool is an int, and so is an IntEnum
+    if issubclass(tp, bool):
+        encode = _encode_bool
+    elif issubclass(tp, enum.Enum):
+        encode = _encode_enum
+    elif issubclass(tp, int):
+        encode = str
+    elif issubclass(tp, float):
+        encode = format_float
+    elif issubclass(tp, str):
+        encode = encode_basestring  # == json.dumps(s, ensure_ascii=False)
+    elif issubclass(tp, datetime):
+        encode = _encode_datetime
+    elif issubclass(tp, date):
+        encode = _encode_date
+    elif issubclass(tp, bytes):
+        encode = _raising("raw bytes are never serialized")
+    elif dataclasses.is_dataclass(tp):
+        encode = _RECORD_ENCODERS.get(tp) or _record_encoder(tp)
+    elif issubclass(tp, (list, tuple)):
+        encode = _encode_sequence
+    elif issubclass(tp, dict):
+        encode = _encode_mapping
+    elif tp is type(None):
+        encode = _raising("None reaches the encoder only through a bug")
+    else:
+        encode = _raising(f"no canonical form for {tp.__name__}")
+    _VALUE_ENCODERS[tp] = encode
+    return encode
+
+
+def _record_encoder(cls: type) -> _Encoder:
+    """Build and cache the encode plan of a dataclass."""
+    plan = tuple(
+        (f.name, json.dumps(f.name) + ":")
+        for f in sorted(dataclasses.fields(cls), key=lambda f: f.name)
+        if f.metadata.get("canon") != "exclude")
+
+    def encode(record: typing.Any) -> str:
+        parts = []
+        for name, key in plan:
+            v = getattr(record, name)
+            if v is not None:
+                parts.append(key + (_VALUE_ENCODERS.get(type(v))
+                                    or _value_encoder(type(v)))(v))
+        return "{" + ",".join(parts) + "}"
+
+    _RECORD_ENCODERS[cls] = encode
+    return encode
 
 
 def canonical_encode(record: typing.Any) -> str:
     """Render a dataclass record as its single canonical line (no newline)."""
-    if not dataclasses.is_dataclass(record) or isinstance(record, type):
-        raise CanonError("canonical_encode takes a dataclass instance")
-    return _encode_record(record)
+    encode = _RECORD_ENCODERS.get(type(record))
+    if encode is None:
+        if not dataclasses.is_dataclass(record) or isinstance(record, type):
+            raise CanonError("canonical_encode takes a dataclass instance")
+        encode = _record_encoder(type(record))
+    return encode(record)
 
 
 def digest_bytes(data: bytes) -> str:
@@ -125,101 +237,165 @@ def canonical_digest(record: typing.Any) -> str:
 # ---------------------------------------------------------------------------
 # decoding
 
-
-def _parse_datetime(s: str) -> datetime:
-    m = _TS_RE.match(s)
-    if not m:
-        raise CanonError(f"bad timestamp {s!r}")
-    y, mo, d, hh, mm, ss, frac = m.groups()
-    micro = int((frac or "").ljust(6, "0") or 0)
-    return datetime(int(y), int(mo), int(d), int(hh), int(mm), int(ss), micro,
-                    tzinfo=timezone.utc)
-
-
-def _parse_date(s: str) -> date:
-    m = _DATE_RE.match(s)
-    if not m:
-        raise CanonError(f"bad date {s!r}")
-    return date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+# record class -> its decode plan, compiled into one function
+_RECORD_DECODERS: dict[type, _Decoder] = {}
 
 
 def _is_union(origin) -> bool:
     return origin is typing.Union or origin is types.UnionType
 
 
-def _structure(value: typing.Any, hint: typing.Any) -> typing.Any:
+def _is_optional(hint: typing.Any) -> bool:
+    return _is_union(typing.get_origin(hint)) and type(None) in typing.get_args(hint)
+
+
+def _compile(hint: typing.Any) -> _Decoder:
+    """One decoder for values of ``hint``. Every check happens when a value
+    is decoded, never here, so a field that is never present costs nothing
+    and cannot fail."""
     origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
     if _is_union(origin):
-        args = [a for a in typing.get_args(hint) if a is not type(None)]
-        if value is None:
-            return None
-        if len(args) != 1:
-            raise CanonError(f"ambiguous union {hint}")
-        return _structure(value, args[0])
-    if value is None:
-        raise CanonError(f"missing value for non-optional {hint}")
-    if origin in (list, tuple):
-        (item_hint,) = typing.get_args(hint)[:1]
-        out = [_structure(v, item_hint) for v in value]
-        return tuple(out) if origin is tuple else out
-    if origin is dict:
-        k_hint, v_hint = typing.get_args(hint)
-        if k_hint is not str:
-            raise CanonError("map keys must be strings")
-        return {k: _structure(v, v_hint) for k, v in value.items()}
+        members = [a for a in args if a is not type(None)]
+        if len(members) != 1:
+            ambiguous = f"ambiguous union {hint}"
+
+            def decode_union(value):
+                if value is None:
+                    return None
+                raise CanonError(ambiguous)
+            return decode_union
+        decode_member = _compile(members[0])
+
+        def decode_optional(value):
+            return None if value is None else decode_member(value)
+        return decode_optional
+
+    missing = f"missing value for non-optional {hint}"
+
+    def rejection(value, message: str) -> CanonError:
+        return CanonError(missing if value is None else message)
+
+    if origin in (list, tuple) and args:
+        decode_item = _compile(args[0])
+        as_tuple = origin is tuple
+
+        def decode_sequence(value):
+            if not isinstance(value, list):
+                raise rejection(value, f"expected array, got {type(value).__name__}")
+            out = [decode_item(v) for v in value]
+            return tuple(out) if as_tuple else out
+        return decode_sequence
+    if origin is dict and len(args) == 2:
+        if args[0] is not str:
+            def decode_bad_map(value):
+                raise rejection(value, "map keys must be strings")
+            return decode_bad_map
+        decode_item = _compile(args[1])
+
+        def decode_mapping(value):
+            if not isinstance(value, dict):
+                raise rejection(value, f"expected object, got {type(value).__name__}")
+            return {k: decode_item(v) for k, v in value.items()}
+        return decode_mapping
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        try:
-            return hint[value]
-        except KeyError:
-            raise CanonError(f"unknown {hint.__name__} member {value!r}") from None
-    if hint is datetime:
-        return _parse_datetime(value)
-    if hint is date:
-        return _parse_date(value)
+        members_by_name = dict(hint.__members__)
+
+        def decode_enum(value):
+            try:
+                return members_by_name[value]
+            except (KeyError, TypeError):
+                raise rejection(
+                    value, f"unknown {hint.__name__} member {value!r}") from None
+        return decode_enum
+    if hint is datetime or hint is date:
+        parse = parse_datetime if hint is datetime else _parse_date
+
+        def decode_instant(value):
+            if value is None:
+                raise CanonError(missing)
+            return parse(value)
+        return decode_instant
     if hint is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CanonError(f"expected number, got {type(value).__name__}")
-        return float(value)
+        def decode_float(value):
+            if isinstance(value, float):
+                return value
+            if isinstance(value, int) and not isinstance(value, bool):
+                return float(value)
+            raise rejection(value, f"expected number, got {type(value).__name__}")
+        return decode_float
     if hint is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise CanonError(f"expected integer, got {type(value).__name__}")
-        return value
+        def decode_int(value):
+            if isinstance(value, int) and not isinstance(value, bool):
+                return value
+            raise rejection(value, f"expected integer, got {type(value).__name__}")
+        return decode_int
     if hint is bool:
-        if not isinstance(value, bool):
-            raise CanonError(f"expected bool, got {type(value).__name__}")
-        return value
+        def decode_bool(value):
+            if isinstance(value, bool):
+                return value
+            raise rejection(value, f"expected bool, got {type(value).__name__}")
+        return decode_bool
     if hint is str:
-        if not isinstance(value, str):
-            raise CanonError(f"expected string, got {type(value).__name__}")
-        return value
+        def decode_str(value):
+            if isinstance(value, str):
+                return value
+            raise rejection(value, f"expected string, got {type(value).__name__}")
+        return decode_str
     if dataclasses.is_dataclass(hint):
-        return _structure_record(value, hint)
-    raise CanonError(f"no decoder for type hint {hint!r}")
+        # looked up per call, so a class may nest itself
+        def decode_record(value):
+            if value is None:
+                raise CanonError(missing)
+            return (_RECORD_DECODERS.get(hint) or _record_decoder(hint))(value)
+        return decode_record
+
+    def decode_unknown(value):
+        raise rejection(value, f"no decoder for type hint {hint!r}")
+    return decode_unknown
 
 
-def _structure_record(obj: typing.Any, cls: type) -> typing.Any:
-    if not isinstance(obj, dict):
-        raise CanonError(f"expected object for {cls.__name__}")
+def _absent_default(value: typing.Any) -> typing.Callable[[], typing.Any]:
+    return lambda: value
+
+
+def _record_decoder(cls: type) -> _Decoder:
+    """Build and cache the decode plan of a dataclass."""
     hints = typing.get_type_hints(cls)
-    fields = {f.name: f for f in dataclasses.fields(cls)
-              if f.metadata.get("canon") != "exclude"}
-    unknown = set(obj) - set(fields)
-    if unknown:
-        raise CanonError(f"unknown field(s) for {cls.__name__}: {sorted(unknown)}")
-    kwargs = {}
-    for name, f in fields.items():
-        if name in obj:
-            kwargs[name] = _structure(obj[name], hints[name])
-        elif f.default is not dataclasses.MISSING:
-            kwargs[name] = f.default
+    name = cls.__name__
+    fields = [f for f in dataclasses.fields(cls)
+              if f.metadata.get("canon") != "exclude"]
+    allowed = frozenset(f.name for f in fields)
+    plan = []
+    for f in fields:
+        hint = hints[f.name]
+        if f.default is not dataclasses.MISSING:
+            absent = _absent_default(f.default)
         elif f.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-            kwargs[name] = f.default_factory()  # type: ignore[misc]
-        elif _is_union(typing.get_origin(hints[name])) and \
-                type(None) in typing.get_args(hints[name]):
-            kwargs[name] = None
+            absent = f.default_factory  # type: ignore[misc]
+        elif _is_optional(hint):
+            absent = _absent_default(None)
         else:
-            raise CanonError(f"missing field {name!r} for {cls.__name__}")
-    return cls(**kwargs)
+            def absent(field_name=f.name):
+                raise CanonError(f"missing field {field_name!r} for {name}")
+        plan.append((f.name, _compile(hint), absent))
+
+    def decode(obj: typing.Any) -> typing.Any:
+        if not isinstance(obj, dict):
+            raise CanonError(f"expected object for {name}")
+        if not allowed.issuperset(obj):
+            unknown = set(obj) - allowed
+            raise CanonError(f"unknown field(s) for {name}: {sorted(unknown)}")
+        kwargs = {}
+        for field_name, decode_field, absent in plan:
+            if field_name in obj:
+                kwargs[field_name] = decode_field(obj[field_name])
+            else:
+                kwargs[field_name] = absent()
+        return cls(**kwargs)
+
+    _RECORD_DECODERS[cls] = decode
+    return decode
 
 
 def canonical_decode(line: str, cls: type) -> typing.Any:
@@ -228,4 +404,4 @@ def canonical_decode(line: str, cls: type) -> typing.Any:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise CanonError(f"not a canonical record: {e}") from None
-    return _structure_record(obj, cls)
+    return (_RECORD_DECODERS.get(cls) or _record_decoder(cls))(obj)

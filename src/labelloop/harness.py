@@ -29,7 +29,10 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .canon import _format_float, canonical_digest, canonical_encode, digest_text
+from .canon import (
+    canonical_decode, canonical_digest, canonical_encode, digest_text,
+    format_datetime, format_float,
+)
 from .deid import SECRET_ENV_VAR, default_policy, deidentify_study
 from .feedback import (
     AlgorithmOutput, Detection, ExecutionMode, MatchOptions, StudyAgreement,
@@ -244,7 +247,6 @@ def save_scenario(cfg: ScenarioConfig, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    from .canon import canonical_decode
     line = Path(path).read_text(encoding="utf-8").strip()
     return canonical_decode(line, ScenarioConfig)
 
@@ -584,7 +586,7 @@ class MetricsBundle:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         opt = lambda v: "" if v is None else (
-            _format_float(v) if isinstance(v, float) else str(v))
+            format_float(v) if isinstance(v, float) else str(v))
 
         lines = [self.LEDGER_HEADER]
         for row in self.ledger:
@@ -598,10 +600,10 @@ class MetricsBundle:
         for a in self.alerts:
             lines.append(",".join([
                 a.alert_id, a.kind.name, a.site_id, a.algorithm_id, a.version,
-                a.severity.name, _format_float(a.evidence.statistic),
-                _format_float(a.evidence.threshold),
+                a.severity.name, format_float(a.evidence.statistic),
+                format_float(a.evidence.threshold),
                 str(a.evidence.event_index),
-                a.raised_at.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                format_datetime(a.raised_at),
                 ";".join(self.recipients.get(a.alert_id, []))]))
         _write_text(out / "alerts.csv", lines)
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 
 from .canon import CanonError, canonical_decode, canonical_encode, digest_text
 from .feedback import AlgorithmOutput
-from .model import StudyRecord, validate_study
+from .model import RegionKind, StudyRecord, validate_study
 from .reports import (
     InteractiveReport, LabelSet, LabelStrength, ParseError, Polarity,
     _scan_anchors,
@@ -209,7 +209,9 @@ def _validate_alg_output(out: AlgorithmOutput) -> list[str]:
     for i, det in enumerate(out.detections):
         if not (0.0 <= det.confidence <= 1.0):
             problems.append(f"detections[{i}] confidence outside [0,1]")
-        if not det.region.is_well_formed():
+        if det.region.kind is not RegionKind.BOX:
+            problems.append(f"detections[{i}] region is not a BOX")
+        elif not det.region.is_well_formed():
             problems.append(f"detections[{i}] degenerate box")
     return problems
 

@@ -10,8 +10,9 @@ Each audit entry commits to its predecessor:
 
     entry_hash = sha256("{seq}|{timestamp}|{actor}|{action}|{payload_digest}|{prev_hash}")
 
-with the timestamp in canonical form and the genesis prev_hash of 64 zeros.
-Appending is the only mutation the log supports.
+with the timestamp rendered exactly as ``audit.log`` stores it
+(``canon.format_datetime``, microseconds included) and the genesis prev_hash
+of 64 zeros. Appending is the only mutation the log supports.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .canon import canonical_decode, canonical_digest, canonical_encode
+from .canon import (
+    canonical_decode, canonical_digest, canonical_encode, format_datetime,
+)
 
 __all__ = [
     "ModelStatus", "DeploymentMode", "AuditAction", "ModelRecord",
@@ -109,22 +112,11 @@ class ChainHead:
     entry_hash: str
 
 
-def _canon_ts(ts: datetime) -> str:
-    # same rendering canonical serialization uses for datetimes
-    if ts.tzinfo is None:
-        raise ValueError("audit timestamps must be timezone-aware")
-    ts = ts.astimezone(timezone.utc)
-    out = ts.isoformat().replace("+00:00", "Z")
-    if "." in out:
-        out = out.split(".")[0] + "Z"
-    return out
-
-
 def entry_hash_of(seq: int, timestamp: datetime, actor: str,
                   action: AuditAction, payload_digest: str,
                   prev_hash: str) -> str:
     material = "|".join([
-        str(seq), _canon_ts(timestamp), actor, action.name,
+        str(seq), format_datetime(timestamp), actor, action.name,
         payload_digest, prev_hash,
     ])
     return hashlib.sha256(material.encode("utf-8")).hexdigest()

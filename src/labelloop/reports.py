@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 
-from .canon import canonical_decode, canonical_encode
+from .canon import format_datetime, format_float, parse_datetime
 from .model import (
     FindingCode, LEXICON, Measurement, PHRASE_TO_CODE, Region, RegionKind,
     StudyRecord, Unit,
@@ -160,18 +160,13 @@ def format_anchor(image_uid: str, frame: int, region: Region,
         loc = f"point={region.x0},{region.y0}"
     meas = ""
     if measurement is not None:
-        v = measurement.value
-        text = repr(float(v))
-        if text.endswith(".0"):
-            text = text[:-2]
-        meas = f"|meas={text}{measurement.unit.name}"
+        meas = f"|meas={format_float(measurement.value)}{measurement.unit.name}"
     return f"{{{{link|image={image_uid}|frame={frame}|{loc}{meas}}}}}"
 
 
 def render_corpus_file(report: InteractiveReport) -> str:
-    from .canon import _format_datetime  # single authority for timestamps
     head = "\t".join([report.report_uid, report.study_uid, report.author_id,
-                      _format_datetime(report.authored_at)])
+                      format_datetime(report.authored_at)])
     return head + "\n" + report.body
 
 
@@ -285,12 +280,11 @@ def parse_report(raw: str, study: StudyRecord) -> ParsedReport:
     if len(parts) != 4:
         raise ParseError("header needs report_uid, study_uid, author_id, authored_at", 0)
     report_uid, study_uid, author_id, authored_at = parts
-    from .canon import _parse_datetime
     report = InteractiveReport(
         report_uid=report_uid,
         study_uid=study_uid,
         body=raw[newline + 1:],
-        authored_at=_parse_datetime(authored_at),
+        authored_at=parse_datetime(authored_at),
         author_id=author_id,
     )
     return parse_body(report, study)

@@ -1,6 +1,7 @@
 """Envelope framing, idempotent ingestion, retries, TCP and spool paths."""
 
 import dataclasses
+import json
 import threading
 from datetime import datetime, timezone
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from labelloop.canon import canonical_encode, digest_text
 from labelloop.feedback import AlgorithmOutput, Detection, ExecutionMode
-from labelloop.model import FindingCode, box
+from labelloop.model import FindingCode, box, point
 from labelloop.protocol import (
     Ack, AckStatus, DeliveryError, Envelope, EnvelopeKind, FrameError, Hub,
     HubServer, InProcessClient, IntegrityError, TcpClient, VersionError,
@@ -104,6 +105,30 @@ def test_degenerate_detection_box_rejected():
     ack = Hub().ingest(make_envelope("siteA", EnvelopeKind.ALG_OUTPUT, out, NOW))
     assert ack.status is AckStatus.REJECTED
     assert "degenerate" in ack.reason
+
+
+def test_point_detection_rejected_before_scoring():
+    # a POINT region is well formed, but match_detections needs a BOX to score
+    out = AlgorithmOutput("S1", "cad", "1.0", ExecutionMode.CENTRAL,
+                          [Detection(FindingCode.NODULE, box(0, 0, 5, 5), 0.9),
+                           Detection(FindingCode.NODULE, point(3, 4), 0.5)])
+    hub = Hub()
+    ack = hub.ingest(make_envelope("siteA", EnvelopeKind.ALG_OUTPUT, out, NOW))
+    assert ack.status is AckStatus.REJECTED
+    assert ack.reason == "detections[1] region is not a BOX"
+    assert hub.records(EnvelopeKind.ALG_OUTPUT) == []
+
+
+def test_malformed_payload_shape_rejected_not_raised(fixture_study):
+    e = make_envelope("siteA", EnvelopeKind.STUDY, fixture_study, NOW)
+    obj = json.loads(e.payload)
+    obj["images"] = 5
+    payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    forged = dataclasses.replace(e, payload=payload,
+                                 payload_digest=digest_text(payload))
+    ack = Hub().ingest(forged)
+    assert ack.status is AckStatus.REJECTED
+    assert ack.reason == "undecodable payload: expected array, got int"
 
 
 def test_concurrent_submissions_single_winner():

@@ -242,6 +242,24 @@ class TestVerify:
         entries, _ = chain_of(60)
         assert verify_audit_chain(entries, ChainHead(60, "ab" * 32)) == 60
 
+    def test_sub_second_timestamp_edit_detected(self):
+        entries, head = chain_of(5)
+        tampered = list(entries)
+        victim = tampered[2]
+        tampered[2] = replace(victim, timestamp=victim.timestamp
+                              + timedelta(microseconds=1))
+        assert verify_audit_chain(tampered, head) == 3
+
+    def test_sub_second_edit_of_stored_line_detected(self):
+        # the hash commits to the timestamp exactly as audit.log stores it
+        reg = Registry(now=lambda: T0 + timedelta(microseconds=250000))
+        reg.register_version(record())
+        line = canonical_encode(reg.audit[0])
+        assert '"timestamp":"2024-01-01T00:00:00.25Z"' in line
+        forged = canonical_decode(line.replace("00.25Z", "00.26Z"), AuditEntry)
+        assert verify_audit_chain([forged], reg.head()) == 1
+        assert verify_audit_chain(reg.audit, reg.head()) is None
+
     def test_random_single_tampers_always_detected(self):
         entries, head = chain_of(40, seed=1)
         rng = random.Random(2)
