@@ -53,10 +53,12 @@ class CanonError(ValueError):
     """Raised when a value cannot be canonically encoded or decoded."""
 
 
+# matched with fullmatch, and ASCII digits only: a trailing newline or a
+# non-ASCII digit would give one instant a second accepted wire form
 _TS_RE = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(?:\.(\d{1,6}))?Z$"
-)
-_DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})"
+    r"(?:\.([0-9]{1,6}))?Z")
+_DATE_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
 
 _Encoder = typing.Callable[[typing.Any], str]
 _Decoder = typing.Callable[[typing.Any], typing.Any]
@@ -78,17 +80,21 @@ def format_datetime(dt: datetime) -> str:
     """RFC 3339 UTC with a ``Z`` suffix; fractional seconds only when nonzero."""
     if dt.tzinfo is None:
         raise CanonError("naive datetime has no canonical form; attach UTC")
-    dt = dt.astimezone(timezone.utc)
-    base = dt.strftime("%Y-%m-%dT%H:%M:%S")
+    try:
+        dt = dt.astimezone(timezone.utc)
+    except OverflowError:
+        raise CanonError(f"{dt.isoformat()} is outside years 1-9999 in UTC") from None
+    # isoformat pads the year to four digits, which strftime does not for
+    # years below 1000; it ends in +00:00 here, which is cut off
+    text = dt.isoformat()
     if dt.microsecond:
-        frac = f"{dt.microsecond:06d}".rstrip("0")
-        return f"{base}.{frac}Z"
-    return base + "Z"
+        return text[:26].rstrip("0") + "Z"
+    return text[:19] + "Z"
 
 
 def parse_datetime(s: str) -> datetime:
     """Inverse of :func:`format_datetime`; the result is UTC-aware."""
-    m = _TS_RE.match(s) if isinstance(s, str) else None
+    m = _TS_RE.fullmatch(s) if isinstance(s, str) else None
     if m:
         y, mo, d, hh, mm, ss, frac = m.groups()
         micro = int((frac or "").ljust(6, "0") or 0)
@@ -101,7 +107,7 @@ def parse_datetime(s: str) -> datetime:
 
 
 def _parse_date(s: str) -> date:
-    m = _DATE_RE.match(s) if isinstance(s, str) else None
+    m = _DATE_RE.fullmatch(s) if isinstance(s, str) else None
     if m:
         try:
             return date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
@@ -143,7 +149,7 @@ def _encode_datetime(value: datetime) -> str:
 
 
 def _encode_date(value: date) -> str:
-    return '"' + value.strftime("%Y-%m-%d") + '"'
+    return '"' + value.isoformat() + '"'
 
 
 def _encode_sequence(values: list | tuple) -> str:
@@ -321,7 +327,10 @@ def _compile(hint: typing.Any) -> _Decoder:
             if isinstance(value, float):
                 return value
             if isinstance(value, int) and not isinstance(value, bool):
-                return float(value)
+                try:
+                    return float(value)
+                except OverflowError:
+                    raise CanonError("integer too large for a float") from None
             raise rejection(value, f"expected number, got {type(value).__name__}")
         return decode_float
     if hint is int:
@@ -402,6 +411,8 @@ def canonical_decode(line: str, cls: type) -> typing.Any:
     """Parse one canonical line back into an instance of ``cls``."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, an integer past int's digit limit, or nesting
+        # deeper than the interpreter's recursion limit
         raise CanonError(f"not a canonical record: {e}") from None
     return (_RECORD_DECODERS.get(cls) or _record_decoder(cls))(obj)

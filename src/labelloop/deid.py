@@ -7,18 +7,30 @@ deterministic per (secret, scope, value) so records of one patient stay
 linkable after de-identification without being reversible. All dates of a
 patient move by one secret-derived offset, so intervals between studies are
 preserved.
+
+Free text (the order text and every report body) is scrubbed of the study's
+PHI tokens: the leftmost match wins, the longest token wins at that
+position, matching ignores case, and each match becomes ``REDACTION``. When
+the tokens and the text are all ASCII, the scrubber works on ``str.lower``
+and ``str.find`` and compiles no regex; otherwise it uses one
+case-insensitive alternation, because Unicode case folding also matches
+some non-ASCII letters to ASCII ones (KELVIN SIGN to ``k``, LONG S to ``s``,
+dotted and dotless I to ``i``).
+
+The receipt keeps the raw and the de-identified study and computes their
+digests only when first read; neither record appears in its ``repr``.
 """
 
 from __future__ import annotations
 
 import base64
 import hmac
-import hashlib
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from functools import cached_property
 
 from .canon import canonical_digest
 from .model import IdentityBlock, StudyRecord
@@ -78,10 +90,23 @@ class DeidPolicy:
 
 @dataclass(frozen=True)
 class DeidReceipt:
-    original_digest: str
-    deid_digest: str
+    """What one de-identification did. The two digests are computed when
+    first read, from the records as they are then."""
     fields_transformed: list[str]
     performed_at: datetime
+    # raw PHI: kept out of repr, equality and the canonical form
+    _original: StudyRecord = field(
+        repr=False, compare=False, metadata={"canon": "exclude"})
+    _deidentified: StudyRecord = field(
+        repr=False, compare=False, metadata={"canon": "exclude"})
+
+    @cached_property
+    def original_digest(self) -> str:
+        return canonical_digest(self._original)
+
+    @cached_property
+    def deid_digest(self) -> str:
+        return canonical_digest(self._deidentified)
 
 
 @dataclass(frozen=True)
@@ -119,25 +144,68 @@ def pseudonymize(site_secret: bytes, scope: str, value: str) -> str:
         raise PolicyError("site_secret is empty")
     if not value:
         raise ValueError("cannot pseudonymize an empty value")
-    mac = hmac.new(site_secret,
-                   scope.encode("utf-8") + b"\x1f" + value.encode("utf-8"),
-                   hashlib.sha256).digest()
-    return base64.b32encode(mac).decode("ascii")[:16]
+    mac = hmac.digest(site_secret,
+                      scope.encode("utf-8") + b"\x1f" + value.encode("utf-8"),
+                      "sha256")
+    # 10 bytes are exactly 16 base32 characters, so no padding to strip
+    return base64.b32encode(mac[:10]).decode("ascii")
 
 
 def date_shift_days(site_secret: bytes, patient_id: str) -> int:
     """Per-patient constant offset in [-182, +182] days."""
-    mac = hmac.new(site_secret, patient_id.encode("utf-8"), hashlib.sha256).digest()
+    mac = hmac.digest(site_secret, patient_id.encode("utf-8"), "sha256")
     return int.from_bytes(mac[:4], "big") % 365 - 182
 
 
-def _scrubber(phi_tokens: list[str]):
+def _regex_scrubber(tokens: set[str]):
     # longest first so "John Doe" wins over a bare "John"
-    ordered = sorted({t for t in phi_tokens if t}, key=len, reverse=True)
-    if not ordered:
-        return lambda text: text
+    ordered = sorted(tokens, key=len, reverse=True)
     pattern = re.compile("|".join(re.escape(t) for t in ordered), re.IGNORECASE)
     return lambda text: pattern.sub(REDACTION, text)
+
+
+def _scrub_ascii(text: str, needles: list[str]) -> str:
+    """Scrub ASCII ``text`` of ASCII ``needles`` (lower-case, distinct,
+    longest first). Each needle's next hit is kept and searched again only
+    once the scan has passed it, so the work stays linear in the text however
+    many matches it holds."""
+    folded = text.lower()
+    hits = [folded.find(n) for n in needles]
+    if max(hits) < 0:
+        return text
+    parts = []
+    pos = 0
+    while True:
+        at = -1
+        for i, needle in enumerate(needles):
+            hit = hits[i]
+            if 0 <= hit < pos:
+                hit = hits[i] = folded.find(needle, pos)
+            # strict: at a tie the earlier, longer needle keeps the position
+            if hit >= 0 and (at < 0 or hit < at):
+                at, width = hit, len(needle)
+        if at < 0:
+            break
+        parts.append(text[pos:at])
+        parts.append(REDACTION)
+        pos = at + width
+    parts.append(text[pos:])
+    return "".join(parts)
+
+
+def _scrubber(phi_tokens: list[str]):
+    tokens = {t for t in phi_tokens if t}
+    if not tokens:
+        return lambda text: text
+    if not all(t.isascii() for t in tokens):
+        return _regex_scrubber(tokens)
+    needles = sorted({t.lower() for t in tokens}, key=len, reverse=True)
+
+    def scrub(text: str) -> str:
+        if text.isascii():
+            return _scrub_ascii(text, needles)
+        return _regex_scrubber(tokens)(text)
+    return scrub
 
 
 def deidentify_study(
@@ -186,10 +254,10 @@ def deidentify_study(
             author_id=pseud("author", r.author_id),
         ))
     receipt = DeidReceipt(
-        original_digest=canonical_digest(s),
-        deid_digest=canonical_digest(study),
         fields_transformed=sorted(policy.actions),
         performed_at=now if now is not None else datetime.now(timezone.utc),
+        _original=s,
+        _deidentified=study,
     )
     return study, out_reports, receipt
 

@@ -7,7 +7,7 @@ import threading
 import typing
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from enum import Enum, IntEnum
 from typing import Any, Optional, Union
 
@@ -108,6 +108,25 @@ def test_timestamp_rendering():
     assert '"when":"2024-01-02T03:04:05.12Z"' in canonical_encode(s)
 
 
+@pytest.mark.parametrize("year", [1, 999, 1000, 9999])
+def test_years_render_four_digits_and_round_trip(year):
+    s = make_sample(when=datetime(year, 1, 2, 3, 4, 5, 600, tzinfo=timezone.utc),
+                    born=date(year, 12, 31))
+    line = canonical_encode(s)
+    assert f'"when":"{year:04d}-01-02T03:04:05.0006Z"' in line
+    assert f'"born":"{year:04d}-12-31"' in line
+    assert canonical_decode(line, Sample) == s
+
+
+@pytest.mark.parametrize("when", [
+    datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=5))),
+    datetime(9999, 12, 31, 23, tzinfo=timezone(timedelta(hours=-5))),
+])
+def test_instant_outside_utc_year_range_rejected(when):
+    with pytest.raises(CanonError, match="outside years 1-9999 in UTC"):
+        canonical_encode(make_sample(when=when))
+
+
 def test_naive_datetime_rejected():
     with pytest.raises(CanonError):
         canonical_encode(make_sample(when=datetime(2024, 1, 1)))
@@ -188,6 +207,31 @@ def test_decode_rejects_malformed_shapes(fields, message):
     # ValueError, which the hub does not turn into a REJECTED ack
     with pytest.raises(CanonError, match=f"^{re.escape(message)}$"):
         canonical_decode(_sample_line(**fields), Sample)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"when": "2024-05-06T07:08:09Z\n"}, "bad timestamp '2024-05-06T07:08:09Z\\n'"),
+    ({"born": "1990-12-31\n"}, "bad date '1990-12-31\\n'"),
+    ({"born": "\u0661\u0669\u0669\u0660-12-31"},
+     "bad date '\u0661\u0669\u0669\u0660-12-31'"),
+    ({"ratio": 10 ** 400}, "integer too large for a float"),
+])
+def test_decode_rejects_second_wire_forms_and_overflow(fields, message):
+    # a trailing newline or non-ASCII digits once decoded to the same instant
+    # as the canonical text; a huge integer once escaped as OverflowError
+    with pytest.raises(CanonError, match=f"^{re.escape(message)}$"):
+        canonical_decode(_sample_line(**fields), Sample)
+
+
+@pytest.mark.parametrize("line", [
+    "[" * 100_000,
+    '{"name":"x","score":1' + "0" * 5000 + "}",
+], ids=["deep-nesting", "5000-digit-integer"])
+def test_decode_maps_parser_limits_to_canon_error(line):
+    # json.loads raises RecursionError on deep nesting and a bare ValueError
+    # on an integer past the interpreter's digit limit
+    with pytest.raises(CanonError, match="^not a canonical record: "):
+        canonical_decode(line, Inner)
 
 
 def test_decode_null_optional_is_none():

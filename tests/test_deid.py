@@ -1,14 +1,16 @@
 """Pseudonyms, date shifting, scrubbing, and the independent leak check."""
 
 import dataclasses
+import re
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from labelloop.canon import canonical_digest
 from labelloop.deid import (
-    DeidAction, DeidPolicy, PolicyError, date_shift_days, default_policy,
-    deidentify_study, pseudonymize, verify_deidentified,
+    REDACTION, DeidAction, DeidPolicy, PolicyError, _scrubber, date_shift_days,
+    default_policy, deidentify_study, pseudonymize, verify_deidentified,
 )
 from labelloop.model import (
     IdentityBlock, ImageRef, Modality, StudyRecord,
@@ -167,3 +169,62 @@ def test_deidentify_then_verify_always_clean(name, pid, days, secret):
     study = dataclasses.replace(study, acquired_at=WHEN + timedelta(days=days))
     s2, rs2, _ = deidentify_study(study, [report], default_policy(secret))
     assert verify_deidentified(s2, rs2, [name, pid]) == []
+
+
+def _regex_scrub(tokens: list[str], text: str) -> str:
+    """The reference: one case-insensitive alternation, longest token first."""
+    ordered = sorted({t for t in tokens if t}, key=len, reverse=True)
+    if not ordered:
+        return text
+    pattern = re.compile("|".join(re.escape(t) for t in ordered), re.IGNORECASE)
+    return pattern.sub(REDACTION, text)
+
+
+# ASCII letters beside the non-ASCII letters that Unicode case folding
+# matches to them: KELVIN SIGN, LONG S, dotted and dotless I
+_ASCII = "aAkKsSiIn .|"
+_MIXED = _ASCII + "\u212a\u017f\u0130\u0131"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), alphabet=st.sampled_from([_ASCII, _MIXED]),
+       text_alphabet=st.sampled_from([_ASCII, _MIXED]))
+def test_scrubber_matches_regex_reference(data, alphabet, text_alphabet):
+    tokens = data.draw(st.lists(st.text(alphabet, max_size=4), max_size=5))
+    text = data.draw(st.text(text_alphabet, max_size=40))
+    if tokens and data.draw(st.booleans()):
+        planted = data.draw(st.sampled_from(tokens))
+        text += planted.swapcase() * 3 + text
+    assert _scrubber(tokens)(text) == _regex_scrub(tokens, text)
+
+
+def test_ascii_study_compiles_no_regex(monkeypatch):
+    compiled = []
+    real = re.compile
+
+    def counting(*args, **kwargs):
+        compiled.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(re, "compile", counting)
+    study, report = make_study()
+    _, [r2], _ = deidentify_study(study, [report], default_policy(SECRET))
+    assert compiled == []
+    assert r2.body.startswith("Mr. [REDACTED] presents")
+    # a non-ASCII text still scrubs, through the regex
+    s3, _, _ = deidentify_study(
+        dataclasses.replace(study, order_text="MR for JOHN DOE \u00e9"), [],
+        default_policy(SECRET))
+    assert s3.order_text == "MR for [REDACTED] \u00e9"
+    assert len(compiled) == 1
+
+
+def test_receipt_digests_and_repr_hide_phi():
+    study, report = make_study()
+    s2, _, receipt = deidentify_study(study, [report], default_policy(SECRET), now=WHEN)
+    assert receipt.original_digest == canonical_digest(study)
+    assert receipt.deid_digest == canonical_digest(s2)
+    assert receipt.performed_at == WHEN
+    shown = repr(receipt)
+    for token in study.identity.phi_tokens + [study.identity.accession_number]:
+        assert token not in shown

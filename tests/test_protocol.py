@@ -131,6 +131,42 @@ def test_malformed_payload_shape_rejected_not_raised(fixture_study):
     assert ack.reason == "undecodable payload: expected array, got int"
 
 
+def _forged(e: Envelope, payload: str) -> Envelope:
+    return dataclasses.replace(e, payload=payload, payload_digest=digest_text(payload))
+
+
+def test_trailing_newline_timestamp_rejected(fixture_study):
+    # "...Z\n" once decoded to the same instant as "...Z", so the hub accepted
+    # a second wire form of one record
+    e = make_envelope("siteA", EnvelopeKind.STUDY, fixture_study, NOW)
+    payload = e.payload.replace('"2024-01-01T00:00:00Z"', '"2024-01-01T00:00:00Z\\n"')
+    assert payload != e.payload
+    hub = Hub()
+    ack = hub.ingest(_forged(e, payload))
+    assert ack.status is AckStatus.REJECTED
+    assert ack.reason == "undecodable payload: bad timestamp '2024-01-01T00:00:00Z\\n'"
+    assert hub.stored_count() == 0
+
+
+@pytest.mark.parametrize("confidence", ["1" + "0" * 400, "1" + "0" * 5000],
+                         ids=["overflows-float", "past-int-digit-limit"])
+def test_huge_integer_confidence_rejected(confidence):
+    out = AlgorithmOutput("S1", "cad", "1.0", ExecutionMode.CENTRAL,
+                          [Detection(FindingCode.NODULE, box(0, 0, 5, 5), 0.5)])
+    e = make_envelope("siteA", EnvelopeKind.ALG_OUTPUT, out, NOW)
+    payload = e.payload.replace('"confidence":0.5', '"confidence":' + confidence)
+    assert payload != e.payload
+    ack = Hub().ingest(_forged(e, payload))
+    assert ack.status is AckStatus.REJECTED
+    assert ack.reason.startswith("undecodable payload: ")
+
+
+def test_deeply_nested_payload_rejected():
+    ack = Hub().ingest(_forged(env_of(), "[" * 100_000))
+    assert ack.status is AckStatus.REJECTED
+    assert ack.reason.startswith("undecodable payload: not a canonical record: ")
+
+
 def test_concurrent_submissions_single_winner():
     hub = Hub()
     e = env_of()
