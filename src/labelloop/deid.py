@@ -23,7 +23,6 @@ digests only when first read; neither record appears in its ``repr``.
 
 from __future__ import annotations
 
-import base64
 import hmac
 import os
 import re
@@ -134,6 +133,18 @@ def secret_from_env(environ: dict | None = None) -> bytes:
         raise PolicyError(f"{SECRET_ENV_VAR} must be hex") from None
 
 
+# base64.b32encode is pure Python on CPython 3.11, so pseudonyms render each
+# 10-bit group as its two RFC 4648 base32 characters from one table
+_B32_PAIRS = [a + b for a in "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"
+              for b in "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"]
+
+
+def _b32_of_10_bytes(b: bytes) -> str:
+    """``base64.b32encode(b).decode("ascii")`` for exactly 10 bytes."""
+    n = int.from_bytes(b, "big")
+    return "".join([_B32_PAIRS[(n >> s) & 0x3FF] for s in range(70, -1, -10)])
+
+
 def pseudonymize(site_secret: bytes, scope: str, value: str) -> str:
     """First 16 chars of base32(HMAC-SHA256(secret, scope || 0x1F || value)).
 
@@ -144,11 +155,8 @@ def pseudonymize(site_secret: bytes, scope: str, value: str) -> str:
         raise PolicyError("site_secret is empty")
     if not value:
         raise ValueError("cannot pseudonymize an empty value")
-    mac = hmac.digest(site_secret,
-                      scope.encode("utf-8") + b"\x1f" + value.encode("utf-8"),
-                      "sha256")
-    # 10 bytes are exactly 16 base32 characters, so no padding to strip
-    return base64.b32encode(mac[:10]).decode("ascii")
+    message = scope.encode("utf-8") + b"\x1f" + value.encode("utf-8")
+    return _b32_of_10_bytes(hmac.digest(site_secret, message, "sha256")[:10])
 
 
 def date_shift_days(site_secret: bytes, patient_id: str) -> int:

@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
+_ACK_BUCKETS = {AckStatus.ACCEPTED: "accepted", AckStatus.DUPLICATE: "duplicates",
+                AckStatus.REJECTED: "rejected"}
 
 # Synthetic PHI vocabulary. Names must never collide with the finding lexicon
 # or a negation cue, or scrubbing tests would pass for the wrong reason.
@@ -703,9 +705,7 @@ def run_scenario(cfg: ScenarioConfig,
 
     def submit(site_id: str, kind: EnvelopeKind, record, at: datetime) -> None:
         ack = client.submit(make_envelope(site_id, kind, record, at))
-        bucket = {AckStatus.ACCEPTED: "accepted", AckStatus.DUPLICATE: "duplicates",
-                  AckStatus.REJECTED: "rejected"}[ack.status]
-        counts[site_id][bucket] += 1
+        counts[site_id][_ACK_BUCKETS[ack.status]] += 1
         if ack.status is AckStatus.REJECTED:
             raise ScenarioError(f"hub rejected {kind.name}: {ack.reason}")
 

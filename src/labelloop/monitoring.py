@@ -211,11 +211,6 @@ def events_of(agreement: StudyAgreement) -> list[int]:
     return [1] * agreement.tp + [0] * (agreement.fp + agreement.fn)
 
 
-def observe_study(stream: AgreementStream, agreement: StudyAgreement,
-                  raised_at: datetime) -> list[Alert]:
-    return stream.observe_study(agreement, raised_at)
-
-
 class PrevalenceProfile:
     """Per-site case-mix surveillance over positively labeled codes."""
 

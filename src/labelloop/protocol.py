@@ -241,18 +241,14 @@ def validate_payload(kind: EnvelopeKind, record) -> list[str]:
 
 
 class Hub:
-    """Idempotent envelope store with an at-ingest validation gate.
-
-    ``on_accept`` subscribers run synchronously after a successful store,
-    outside the key lock; the scenario driver hangs the downstream pipeline
-    (feedback, monitoring, registry) off this hook.
-    """
+    """Idempotent envelope store with an at-ingest validation gate. It keeps
+    one envelope per idempotency key; ``on_accept`` subscribers get the
+    decoded record after the store, outside the key lock, and the hub then
+    drops it. Only ``labelloop hub --spool`` subscribes, to spool envelopes."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._digests: dict[str, str] = {}
         self._envelopes: dict[str, Envelope] = {}
-        self._records: dict[EnvelopeKind, list] = {k: [] for k in EnvelopeKind}
         self._fail_budget = 0
         self.on_accept: list[Callable[[Envelope, object], None]] = []
 
@@ -276,14 +272,12 @@ class Hub:
             if self._fail_budget > 0:
                 self._fail_budget -= 1
                 raise TransientStoreError("storage unavailable, retry")
-            known = self._digests.get(e.idempotency_key)
+            known = self._envelopes.get(e.idempotency_key)
             if known is not None:
-                if known == e.payload_digest:
+                if known.payload_digest == e.payload_digest:
                     return Ack(e.envelope_id, AckStatus.DUPLICATE)
                 return Ack(e.envelope_id, AckStatus.REJECTED, "idempotency conflict")
-            self._digests[e.idempotency_key] = e.payload_digest
             self._envelopes[e.idempotency_key] = e
-            self._records[e.kind].append(record)
         for hook in self.on_accept:
             hook(e, record)
         return Ack(e.envelope_id, AckStatus.ACCEPTED)
@@ -295,8 +289,11 @@ class Hub:
             return 1 if key in self._envelopes else 0
 
     def records(self, kind: EnvelopeKind) -> list:
+        """The store read back as typed records of ``kind``, in acceptance
+        order, for acceptance checks and consumers; decoded on each call."""
         with self._lock:
-            return list(self._records[kind])
+            payloads = [e.payload for e in self._envelopes.values() if e.kind is kind]
+        return [canonical_decode(p, _PAYLOAD_TYPES[kind]) for p in payloads]
 
     def envelopes(self) -> list[Envelope]:
         with self._lock:

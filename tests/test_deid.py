@@ -1,5 +1,6 @@
 """Pseudonyms, date shifting, scrubbing, and the independent leak check."""
 
+import base64
 import dataclasses
 import re
 from datetime import date, datetime, timedelta, timezone
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from labelloop.canon import canonical_digest
 from labelloop.deid import (
-    REDACTION, DeidAction, DeidPolicy, PolicyError, _scrubber, date_shift_days,
-    default_policy, deidentify_study, pseudonymize, verify_deidentified,
+    REDACTION, DeidAction, DeidPolicy, PolicyError, _b32_of_10_bytes, _scrubber,
+    date_shift_days, default_policy, deidentify_study, pseudonymize,
+    verify_deidentified,
 )
 from labelloop.model import (
     IdentityBlock, ImageRef, Modality, StudyRecord,
@@ -57,6 +59,11 @@ def test_pseudonym_deterministic():
     a = pseudonymize(b"\x01\x02", "study", "S1")
     b = pseudonymize(b"\x01\x02", "study", "S1")
     assert a == b and len(a) == 16
+
+
+@given(st.binary(min_size=10, max_size=10))
+def test_pseudonym_base32_matches_stdlib(mac_prefix):
+    assert _b32_of_10_bytes(mac_prefix) == base64.b32encode(mac_prefix).decode("ascii")
 
 
 def test_pseudonym_rejects_empty_value():

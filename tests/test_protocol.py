@@ -1,8 +1,10 @@
 """Envelope framing, idempotent ingestion, retries, TCP and spool paths."""
 
 import dataclasses
+import gc
 import json
 import threading
+import tracemalloc
 from datetime import datetime, timezone
 
 import pytest
@@ -10,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from labelloop.canon import canonical_encode, digest_text
 from labelloop.feedback import AlgorithmOutput, Detection, ExecutionMode
+from labelloop.harness import make_scenario, run_scenario
 from labelloop.model import FindingCode, box, point
 from labelloop.protocol import (
     Ack, AckStatus, DeliveryError, Envelope, EnvelopeKind, FrameError, Hub,
-    HubServer, InProcessClient, IntegrityError, TcpClient, VersionError,
-    decode_envelope, encode_envelope, envelope_from_line, envelope_to_line,
-    make_envelope, submit_batch, write_spool,
+    HubServer, InProcessClient, IntegrityError, TcpClient, TransientStoreError,
+    VersionError, decode_envelope, encode_envelope, envelope_from_line,
+    envelope_to_line, make_envelope, submit_batch, write_spool,
 )
 from labelloop.reports import ExtractedLabel, LabelSet, LabelStrength, Polarity
 
@@ -187,6 +190,73 @@ def test_concurrent_submissions_single_winner():
     assert statuses.count("ACCEPTED") == 1
     assert statuses.count("DUPLICATE") == 9
     assert hub.stored_count(e.idempotency_key) == 1
+
+
+def test_only_an_accepted_envelope_claims_its_key():
+    good = env_of(labelset("R1", "S1"))
+    invalid = env_of(dataclasses.replace(
+        labelset("R1", "S1"), labels=labelset("R2", "S1").labels))
+    assert invalid.idempotency_key == good.idempotency_key
+
+    hub = Hub()
+    ack = hub.ingest(invalid)
+    assert ack.status is AckStatus.REJECTED
+    assert ack.reason == "labels[0] does not belong to this set"
+    assert hub.ingest(good).status is AckStatus.ACCEPTED
+
+    hub = Hub()
+    hub.fail_next_ingests(1)
+    with pytest.raises(TransientStoreError):
+        hub.ingest(env_of(labelset("R1", "S1", n=2)))
+    assert hub.stored_count() == 0
+    assert hub.ingest(good).status is AckStatus.ACCEPTED
+
+    # an accepted key answers an undecodable re-presentation as undecodable,
+    # not as a conflict: decoding comes before the store is consulted
+    ack = hub.ingest(_forged(good, '{"report_uid":5}'))
+    assert ack.status is AckStatus.REJECTED
+    assert ack.reason.startswith("undecodable payload: ")
+    assert hub.records(EnvelopeKind.LABELSET) == [labelset("R1", "S1")]
+
+
+def test_hub_keeps_one_copy_of_each_envelope():
+    cfg = make_scenario(seed=515, n_sites=3, n_studies=200, drift=False)
+    envelopes = run_scenario(cfg).hub.envelopes()
+    payload_bytes = sum(len(e.payload.encode("utf-8")) for e in envelopes)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hub = Hub()
+        for e in envelopes:
+            assert hub.ingest(e).status is AckStatus.ACCEPTED
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert hub.stored_count() == len(envelopes)
+    # the envelopes existed before tracing; a decoded copy or a second index
+    # per key would retain about three times the payload bytes
+    assert retained <= 0.5 * payload_bytes, (retained, payload_bytes)
+
+    # records() reads the store back as exactly what on_accept subscribers
+    # saw, in acceptance order; duplicates, rejections and conflicts add none
+    hub = Hub()
+    seen = {kind: [] for kind in EnvelopeKind}
+    hub.on_accept.append(lambda e, record: seen[e.kind].append(record))
+    labelsets = [e for e in envelopes if e.kind is EnvelopeKind.LABELSET]
+    conflict = _forged(labelsets[0], labelsets[1].payload)
+    undecodable = _forged(labelsets[2], "{}")  # under a key not yet accepted
+    for e in envelopes:
+        assert hub.ingest(e).status is AckStatus.ACCEPTED
+        assert hub.ingest(e).status is AckStatus.DUPLICATE
+        if e is labelsets[0]:
+            assert hub.ingest(conflict).reason == "idempotency conflict"
+            assert hub.ingest(undecodable).status is AckStatus.REJECTED
+    assert sum(map(len, seen.values())) == len(envelopes)
+    for kind in EnvelopeKind:
+        assert hub.records(kind) == seen[kind]
 
 
 def test_retry_succeeds_after_two_failures():
