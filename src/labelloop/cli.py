@@ -25,11 +25,11 @@ import os
 import sys
 from pathlib import Path
 
-from .canon import CanonError, canonical_decode
+from .canon import CanonError
 from .harness import load_scenario, run_scenario, validate_scenario
 from .monitoring import MonitorConfig
 from .protocol import Hub, HubServer, write_spool
-from .registry import AuditEntry, ChainHead, Registry, verify_audit_chain
+from .registry import ChainDecodeError, Registry, verify_audit_chain
 
 SEED_ENV_VAR = "LABELLOOP_SEED"
 CUSUM_H_ENV_VAR = "LABELLOOP_CUSUM_H"
@@ -180,49 +180,16 @@ def cmd_hub(listen: str, spool_dir: str | None = None, on_ready=None,
 # verify-audit
 
 
-def _read_chain(log_path: Path) -> tuple[list[str], Path | None]:
-    lines = [line.rstrip("\n") for line in
-             log_path.read_text(encoding="utf-8").splitlines()
-             if line.strip()]
-    head_path = log_path.parent / Registry.AUDIT_HEAD
-    return lines, head_path if head_path.exists() else None
-
-
 def cmd_verify_audit(log_path: str, out=None, err=None) -> ExitCode:
     out, err = out or sys.stdout, err or sys.stderr
-    path = Path(log_path)
-    if path.is_dir():
-        path = path / Registry.AUDIT_LOG
     try:
-        lines, head_path = _read_chain(path)
+        broken = verify_audit_chain(*Registry.load_chain(log_path))
     except OSError as e:
         _diag(err, f"cannot read audit log: {e}")
         return ExitCode.TRANSIENT_IO
-
-    entries: list[AuditEntry] = []
-    for i, line in enumerate(lines):
-        try:
-            entries.append(canonical_decode(line, AuditEntry))
-        except (CanonError, ValueError, TypeError, KeyError):
-            # an unparseable record is a broken chain, not an I/O failure
-            print(f"broken at seq {i + 1}", file=out)
-            return ExitCode.AUDIT_BROKEN
-
-    head = None
-    if head_path is not None:
-        try:
-            head_line = head_path.read_text(encoding="utf-8").strip()
-        except OSError as e:
-            _diag(err, f"cannot read audit head: {e}")
-            return ExitCode.TRANSIENT_IO
-        if head_line:
-            try:
-                head = canonical_decode(head_line, ChainHead)
-            except (CanonError, ValueError, TypeError, KeyError):
-                print(f"broken at seq {max(1, len(entries))}", file=out)
-                return ExitCode.AUDIT_BROKEN
-
-    broken = verify_audit_chain(entries, head)
+    except ChainDecodeError as e:
+        # an unparseable record is a broken chain, not an I/O failure
+        broken = e.seq
     if broken is not None:
         print(f"broken at seq {broken}", file=out)
         return ExitCode.AUDIT_BROKEN

@@ -283,15 +283,3 @@ def export_discrepancies(items, version: str | None = None,
     return sorted(kept, key=lambda it: (
         it.site_id, it.study_uid, it.finding.name, it.kind.name, it.detail_digest))
 
-
-DISCREPANCY_CSV_HEADER = "site_id,study_uid,kind,finding,algorithm_id,version,detail_digest"
-
-
-def write_discrepancy_csv(items, path) -> None:
-    lines = [DISCREPANCY_CSV_HEADER]
-    for it in items:
-        lines.append(",".join([
-            it.site_id, it.study_uid, it.kind.name, it.finding.name,
-            it.algorithm_id, it.version, it.detail_digest]))
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("\n".join(lines) + "\n")

@@ -1,12 +1,15 @@
 """Deterministic multi-site scenario driver.
 
-Synthesizes the whole loop end to end: ground-truth cases, radiologist
-reports written as the exact inverse of the label extractor, imperfect
-algorithm outputs, de-identification at the site boundary, wire envelopes
-through the real encode/decode path into the hub, feedback scoring, drift
-surveillance, alert fan-out, and the audit chain. Everything downstream of a
-(config, seed) pair is a pure function of it; two runs write byte-identical
-bundles.
+Synthesizes the whole loop end to end. For each site and study,
+``run_scenario`` runs the stages of the loop in order: drift (scheduled
+profile changes), generate (a ground-truth case), report (written as the
+exact inverse of the label extractor), deidentify (at the site boundary),
+extract (labels from the de-identified report), submit (wire envelopes into
+the hub), execute (imperfect algorithm outputs), feedback (scoring against
+the labels), monitoring (drift surveillance) and propagation (alert fan-out
+and acks); the registry's audit chain records the control side. Everything
+downstream of a (config, seed) pair is a pure function of it; two runs write
+byte-identical bundles.
 
 The report generator is the parser oracle: alongside each rendered body it
 records the labels the extractor must recover, verbatim. Template vocabulary
@@ -159,12 +162,6 @@ class ScenarioConfig:
 
 class ScenarioError(RuntimeError):
     pass
-
-
-class AssertionFailed(RuntimeError):
-    def __init__(self, failures: list[str]):
-        super().__init__("; ".join(failures))
-        self.failures = failures
 
 
 # ---------------------------------------------------------------------------
@@ -653,73 +650,93 @@ def _site_secret(master: bytes, site_id: str) -> bytes:
     return hmac.new(master, site_id.encode("utf-8"), hashlib.sha256).digest()
 
 
-def run_scenario(cfg: ScenarioConfig,
-                 monitor_config: MonitorConfig = MonitorConfig(),
-                 ) -> ScenarioResult:
-    problems = validate_scenario(cfg)
-    if problems:
-        raise ScenarioError("invalid scenario: " + "; ".join(problems))
+@dataclass
+class _Study:
+    """What the stages of one study hand to each other. From the deidentify
+    stage on, ``study`` and ``report`` hold only the de-identified records."""
+    state: _SiteState
+    sid: str
+    index: int
+    at: datetime | None = None
+    study: StudyRecord | None = None
+    truth: list[TruthLesion] | None = None
+    report: InteractiveReport | None = None
+    labels: list[ExtractedLabel] | None = None
+    outputs: list[AlgorithmOutput] = field(default_factory=list)
+    agreements: list[StudyAgreement] = field(default_factory=list)
+    alerts: list[Alert] = field(default_factory=list)
 
-    clock = {"now": T0}
-    registry = Registry(now=lambda: clock["now"])
-    hub = Hub()
-    client = InProcessClient(hub)
-    engine = MonitoringEngine(monitor_config)
-    master = _master_secret(cfg.seed)
 
-    for alg in cfg.algorithms:
-        registry.register_version(ModelRecord(
-            algorithm_id=alg.algorithm_id, version=alg.version,
-            weights_digest=digest_text(f"{alg.algorithm_id}:{alg.version}:weights"),
-            status=ModelStatus.CANDIDATE, registered_at=T0), at=T0)
-        registry.set_status(alg.algorithm_id, alg.version,
-                            ModelStatus.APPROVED, at=T0)
-        registry.set_status(alg.algorithm_id, alg.version,
-                            ModelStatus.DEPLOYED, at=T0)
-        for site in cfg.sites:
-            registry.assign_deployment(DeploymentAssignment(
-                site_id=site.site_id, algorithm_id=alg.algorithm_id,
-                version=alg.version, mode=alg.mode, active=True), at=T0)
+class _Run:
+    """The state a scenario run carries across studies; one method per stage.
+    Stages look up their callees in this module's globals at call time, so
+    patching ``labelloop.harness`` reaches every call."""
 
-    states = [_SiteState(cfg, site, i) for i, site in enumerate(cfg.sites)]
-    rngs = {}
-    for site in cfg.sites:
-        sid = site.site_id
-        rngs[sid, "case"] = random.Random(f"{cfg.seed}|case|{sid}")
-        rngs[sid, "report"] = random.Random(f"{cfg.seed}|report|{sid}")
+    STAGES = ("drift", "generate", "report", "deidentify", "extract",
+              "submit", "execute", "feedback", "monitoring", "propagation")
+
+    def __init__(self, cfg: ScenarioConfig, monitor_config: MonitorConfig):
+        self.cfg = cfg
+        # ALERT audit entries read this clock; capturing self would make a cycle
+        self.clock = clock = {"now": T0}
+        self.registry = registry = Registry(now=lambda: clock["now"])
+        self.hub = Hub()
+        self.client = InProcessClient(self.hub)
+        self.engine = MonitoringEngine(monitor_config)
+        master = _master_secret(cfg.seed)
+
         for alg in cfg.algorithms:
-            rngs[sid, "alg", alg.algorithm_id, alg.version] = random.Random(
-                f"{cfg.seed}|alg|{sid}|{alg.algorithm_id}|{alg.version}")
+            registry.register_version(ModelRecord(
+                algorithm_id=alg.algorithm_id, version=alg.version,
+                weights_digest=digest_text(f"{alg.algorithm_id}:{alg.version}:weights"),
+                status=ModelStatus.CANDIDATE, registered_at=T0), at=T0)
+            registry.set_status(alg.algorithm_id, alg.version,
+                                ModelStatus.APPROVED, at=T0)
+            registry.set_status(alg.algorithm_id, alg.version,
+                                ModelStatus.DEPLOYED, at=T0)
+            for site in cfg.sites:
+                registry.assign_deployment(DeploymentAssignment(
+                    site_id=site.site_id, algorithm_id=alg.algorithm_id,
+                    version=alg.version, mode=alg.mode, active=True), at=T0)
 
-    policies = {s.site_id: default_policy(_site_secret(master, s.site_id))
-                for s in cfg.sites}
-    phi_tokens: list[str] = []
-    agreements: list[StudyAgreement] = []
-    alerts: list[Alert] = []
-    recipients: dict[str, list[str]] = {}
-    notifications: list[Notification] = []
-    change_points: dict[tuple[str, str, str], int] = {}
-    external_changes: dict[str, int] = {}
-    counts = {s.site_id: {"accepted": 0, "duplicates": 0, "rejected": 0}
-              for s in cfg.sites}
+        self.states = [_SiteState(cfg, site, i) for i, site in enumerate(cfg.sites)]
+        self.rngs = rngs = {}
+        for site in cfg.sites:
+            sid = site.site_id
+            rngs[sid, "case"] = random.Random(f"{cfg.seed}|case|{sid}")
+            rngs[sid, "report"] = random.Random(f"{cfg.seed}|report|{sid}")
+            for alg in cfg.algorithms:
+                rngs[sid, "alg", alg.algorithm_id, alg.version] = random.Random(
+                    f"{cfg.seed}|alg|{sid}|{alg.algorithm_id}|{alg.version}")
 
-    def submit(site_id: str, kind: EnvelopeKind, record, at: datetime) -> None:
-        ack = client.submit(make_envelope(site_id, kind, record, at))
-        counts[site_id][_ACK_BUCKETS[ack.status]] += 1
+        self.policies = {s.site_id: default_policy(_site_secret(master, s.site_id))
+                         for s in cfg.sites}
+        self.phi_tokens: list[str] = []
+        self.agreements: list[StudyAgreement] = []
+        self.alerts: list[Alert] = []
+        self.recipients: dict[str, list[str]] = {}
+        self.notifications: list[Notification] = []
+        self.change_points: dict[tuple[str, str, str], int] = {}
+        self.external_changes: dict[str, int] = {}
+        self.counts = {s.site_id: {"accepted": 0, "duplicates": 0, "rejected": 0}
+                       for s in cfg.sites}
+
+    def _send(self, site_id: str, kind: EnvelopeKind, record, at: datetime) -> None:
+        ack = self.client.submit(make_envelope(site_id, kind, record, at))
+        self.counts[site_id][_ACK_BUCKETS[ack.status]] += 1
         if ack.status is AckStatus.REJECTED:
             raise ScenarioError(f"hub rejected {kind.name}: {ack.reason}")
 
-    def apply_drift(state: _SiteState, index: int) -> None:
-        for ev in cfg.drift_events:
-            if ev.at_study != index:
+    def drift(self, s: _Study) -> None:
+        for ev in self.cfg.drift_events:
+            if ev.at_study != s.index:
                 continue
-            sid = state.site.site_id
             if ev.kind == DriftKind.PREVALENCE_SHIFT:
-                state.case_mix[ev.code] = ev.new_probability
-                external_changes.setdefault(
-                    sid, engine.profile(sid).study_count)
+                s.state.case_mix[ev.code] = ev.new_probability
+                self.external_changes.setdefault(
+                    s.sid, self.engine.profile(s.sid).study_count)
                 continue
-            for (alg_id, ver), prof in list(state.alg_profiles.items()):
+            for (alg_id, ver), prof in list(s.state.alg_profiles.items()):
                 if ev.algorithm_id is not None and ev.algorithm_id != alg_id:
                     continue
                 if ev.kind == DriftKind.SENSITIVITY_DROP:
@@ -727,127 +744,127 @@ def run_scenario(cfg: ScenarioConfig,
                         c: ev.new_sensitivity for c in prof.sensitivity})
                 else:
                     prof = replace(prof, localization_sigma=ev.new_sigma)
-                state.alg_profiles[(alg_id, ver)] = prof
-                change_points.setdefault(
-                    (sid, alg_id, ver),
-                    engine.stream(sid, alg_id, ver).event_count)
+                s.state.alg_profiles[(alg_id, ver)] = prof
+                self.change_points.setdefault(
+                    (s.sid, alg_id, ver),
+                    self.engine.stream(s.sid, alg_id, ver).event_count)
 
-    def handle_alerts(raised: list[Alert], at: datetime) -> None:
-        for alert in raised:
-            alerts.append(alert)
-            notes = engine.propagate(alert, registry, at)
-            notifications.extend(notes)
-            recipients[alert.alert_id] = [n.recipient for n in notes]
+    def generate(self, s: _Study) -> None:
+        s.study, s.truth = generate_case(self.rngs[s.sid, "case"],
+                                         s.state.case_mix, s.state)
+        self.clock["now"] = s.at = s.study.acquired_at + timedelta(seconds=5400)
+        self.phi_tokens.extend(s.study.identity.phi_tokens)
+
+    def report(self, s: _Study) -> None:
+        serial = s.state.study_serial
+        s.report, _intents = render_report(
+            s.truth, s.state.site.radiologist, self.rngs[s.sid, "report"],
+            s.study, report_uid=f"R-{s.sid}-{serial:06d}",
+            author_id=f"rad-{s.sid}-{1 + serial % 3}")
+
+    def deidentify(self, s: _Study) -> None:
+        s.study, reports, _receipt = deidentify_study(
+            s.study, [s.report], self.policies[s.sid], now=s.at)
+        s.report = reports[0]
+
+    def extract(self, s: _Study) -> None:
+        s.labels, _diags = extract_labels(parse_body(s.report, s.study))
+
+    def submit(self, s: _Study) -> None:
+        labelset = LabelSet(report_uid=s.report.report_uid,
+                            study_uid=s.study.study_uid, labels=s.labels)
+        self._send(s.sid, EnvelopeKind.STUDY, s.study, s.at)
+        self._send(s.sid, EnvelopeKind.REPORT, s.report, s.at)
+        self._send(s.sid, EnvelopeKind.LABELSET, labelset, s.at)
+
+    def execute(self, s: _Study) -> None:
+        side = s.study.images[0].width
+        for alg in self.cfg.algorithms:
+            output = simulate_algorithm(
+                s.truth, s.state.alg_profiles[(alg.algorithm_id, alg.version)],
+                self.rngs[s.sid, "alg", alg.algorithm_id, alg.version],
+                s.study.study_uid, side, alg.algorithm_id, alg.version,
+                executed=ExecutionMode.CENTRAL)
+            if alg.mode in (DeploymentMode.CENTRAL, DeploymentMode.BOTH):
+                self._send(s.sid, EnvelopeKind.ALG_OUTPUT, output, s.at)
+            if alg.mode in (DeploymentMode.LOCAL, DeploymentMode.BOTH):
+                # the site ran the same weights on the same pixels; only the
+                # execution tier differs on the wire
+                local = replace(output, executed=ExecutionMode.LOCAL)
+                self._send(s.sid, EnvelopeKind.ALG_OUTPUT, local, s.at)
+                if alg.mode is DeploymentMode.LOCAL:
+                    output = local
+            s.outputs.append(output)
+
+    def feedback(self, s: _Study) -> None:
+        for output in s.outputs:
+            match = match_detections(output, s.labels, MatchOptions())
+            s.agreements.append(score_study(match, s.sid))
+        self.agreements.extend(s.agreements)
+
+    def monitoring(self, s: _Study) -> None:
+        for agreement in s.agreements:
+            s.alerts += self.engine.observe_agreement(agreement, s.at)
+        positive = {l.finding for l in s.labels if l.polarity is Polarity.POSITIVE}
+        s.alerts += self.engine.observe_labels(s.sid, positive, s.at)
+
+    def propagation(self, s: _Study) -> None:
+        for alert in s.alerts:
+            self.alerts.append(alert)
+            notes = self.engine.propagate(alert, self.registry, s.at)
+            self.notifications.extend(notes)
+            self.recipients[alert.alert_id] = [n.recipient for n in notes]
             for note in notes:
                 if note.recipient == "developer":
                     continue
-                submit(note.recipient, EnvelopeKind.ALERT_ACK,
-                       AlertAck(alert.alert_id, note.recipient, at), at)
+                self._send(note.recipient, EnvelopeKind.ALERT_ACK,
+                           AlertAck(alert.alert_id, note.recipient, s.at), s.at)
 
+    def result(self) -> ScenarioResult:
+        cfg, registry = self.cfg, self.registry
+        end = self.clock["now"] + timedelta(seconds=60)
+        for sid, counts in self.counts.items():
+            registry.append_audit(AuditAction.INGEST_SUMMARY, "hub",
+                                  canonical_digest(IngestSummary(sid, **counts)),
+                                  at=end)
+        broken = registry.verify()
+        verdict = "ok" if broken is None else f"broken at seq {broken}"
+        ledger_rows = [row for _, row in
+                       sorted(aggregate_metrics(self.agreements).items())]
+        delays = _delay_rows(cfg, self.engine, self.alerts, self.change_points,
+                             self.external_changes)
+        bundle = MetricsBundle(ledger=ledger_rows, alerts=self.alerts,
+                               recipients=self.recipients, delays=delays,
+                               audit_verdict=verdict)
+        failures = _check_assertions(cfg, bundle, self.change_points)
+        return ScenarioResult(bundle=bundle, hub=self.hub, registry=registry,
+                              monitoring=self.engine, agreements=self.agreements,
+                              phi_tokens=sorted(set(self.phi_tokens)),
+                              notifications=self.notifications,
+                              assertion_failures=failures)
+
+
+def run_scenario(cfg: ScenarioConfig,
+                 monitor_config: MonitorConfig = MonitorConfig(),
+                 ) -> ScenarioResult:
+    problems = validate_scenario(cfg)
+    if problems:
+        raise ScenarioError("invalid scenario: " + "; ".join(problems))
+
+    run = _Run(cfg, monitor_config)
+    stages = [(name, getattr(run, name)) for name in _Run.STAGES]
     for index in range(cfg.n_studies):
-        for state in states:
-            site = state.site
-            sid = site.site_id
-            stage = "drift"
-            try:
-                apply_drift(state, index)
-
-                stage = "generate"
-                case_rng = rngs[sid, "case"]
-                study, truth = generate_case(case_rng, state.case_mix, state)
-                clock["now"] = study.acquired_at + timedelta(seconds=5400)
-                phi_tokens.extend(study.identity.phi_tokens)
-
-                stage = "report"
-                report_rng = rngs[sid, "report"]
-                report, _intents = render_report(
-                    truth, site.radiologist, report_rng, study,
-                    report_uid=f"R-{sid}-{state.study_serial:06d}",
-                    author_id=f"rad-{sid}-{1 + state.study_serial % 3}")
-
-                stage = "deidentify"
-                deid_study, deid_reports, _receipt = deidentify_study(
-                    study, [report], policies[sid], now=clock["now"])
-                deid_report = deid_reports[0]
-
-                stage = "extract"
-                labels, _diags = extract_labels(
-                    parse_body(deid_report, deid_study))
-                labelset = LabelSet(report_uid=deid_report.report_uid,
-                                    study_uid=deid_study.study_uid,
-                                    labels=labels)
-
-                stage = "submit"
-                at = clock["now"]
-                submit(sid, EnvelopeKind.STUDY, deid_study, at)
-                submit(sid, EnvelopeKind.REPORT, deid_report, at)
-                submit(sid, EnvelopeKind.LABELSET, labelset, at)
-
-                stage = "execute"
-                side = study.images[0].width
-                outputs = []
-                for alg in cfg.algorithms:
-                    prof = state.alg_profiles[(alg.algorithm_id, alg.version)]
-                    exec_rng = rngs[sid, "alg", alg.algorithm_id, alg.version]
-                    output = simulate_algorithm(
-                        truth, prof, exec_rng, deid_study.study_uid, side,
-                        alg.algorithm_id, alg.version,
-                        executed=ExecutionMode.CENTRAL)
-                    if alg.mode in (DeploymentMode.CENTRAL, DeploymentMode.BOTH):
-                        submit(sid, EnvelopeKind.ALG_OUTPUT, output, at)
-                    if alg.mode in (DeploymentMode.LOCAL, DeploymentMode.BOTH):
-                        # the site ran the same weights on the same pixels;
-                        # only the execution tier differs on the wire
-                        local = replace(output, executed=ExecutionMode.LOCAL)
-                        submit(sid, EnvelopeKind.ALG_OUTPUT, local, at)
-                        if alg.mode is DeploymentMode.LOCAL:
-                            output = local
-                    outputs.append(output)
-
-                stage = "feedback"
-                study_alerts: list[Alert] = []
-                for output in outputs:
-                    match = match_detections(output, labels, MatchOptions())
-                    agreement = score_study(match, sid)
-                    agreements.append(agreement)
-                    stage = "monitoring"
-                    study_alerts += engine.observe_agreement(agreement, at)
-                    stage = "feedback"
-                positive = {l.finding for l in labels
-                            if l.polarity is Polarity.POSITIVE}
-                stage = "monitoring"
-                study_alerts += engine.observe_labels(sid, positive, at)
-
-                stage = "propagation"
-                handle_alerts(study_alerts, at)
-            except ScenarioError:
-                raise
-            except Exception as err:
-                raise ScenarioError(
-                    f"site {sid} study {index} stage {stage}: {err}") from err
-
-    end = clock["now"] + timedelta(seconds=60)
-    for site in cfg.sites:
-        c = counts[site.site_id]
-        summary = IngestSummary(site.site_id, c["accepted"], c["duplicates"],
-                                c["rejected"])
-        registry.append_audit(AuditAction.INGEST_SUMMARY, "hub",
-                              canonical_digest(summary), at=end)
-
-    broken = registry.verify()
-    verdict = "ok" if broken is None else f"broken at seq {broken}"
-
-    ledger_rows = [row for _, row in sorted(aggregate_metrics(agreements).items())]
-    delays = _delay_rows(cfg, engine, alerts, change_points, external_changes)
-    bundle = MetricsBundle(ledger=ledger_rows, alerts=alerts,
-                           recipients=recipients, delays=delays,
-                           audit_verdict=verdict)
-    failures = _check_assertions(cfg, bundle, change_points)
-    return ScenarioResult(bundle=bundle, hub=hub, registry=registry,
-                          monitoring=engine, agreements=agreements,
-                          phi_tokens=sorted(set(phi_tokens)),
-                          notifications=notifications,
-                          assertion_failures=failures)
+        for state in run.states:
+            study = _Study(state, state.site.site_id, index)
+            for name, stage in stages:
+                try:
+                    stage(study)
+                except ScenarioError:
+                    raise  # a hub rejection names itself
+                except Exception as err:
+                    raise ScenarioError(f"site {study.sid} study {index} "
+                                        f"stage {name}: {err}") from err
+    return run.result()
 
 
 def _delay_rows(cfg, engine, alerts, change_points, external_changes):

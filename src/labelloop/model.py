@@ -7,18 +7,14 @@ arithmetic exact.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
-
-from .canon import canonical_digest, canonical_encode  # re-exported for callers
 
 __all__ = [
     "Modality", "RegionKind", "FindingCode", "Unit", "Measurement", "Region",
     "ImageRef", "IdentityBlock", "StudyRecord", "LEXICON", "PHRASE_TO_CODE",
     "KindMismatchError", "region_iou", "validate_study",
-    "canonical_digest", "canonical_encode",
 ]
 
 
@@ -154,24 +150,8 @@ class StudyRecord:
     order_text: str
 
 
-def _walk_regions(obj, path: str, out: list[tuple[str, Region]]) -> None:
-    if isinstance(obj, Region):
-        out.append((path, obj))
-        return
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclasses.fields(obj):
-            _walk_regions(getattr(obj, f.name), f"{path}.{f.name}", out)
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _walk_regions(v, f"{path}[{i}]", out)
-
-
-def validate_study(s: StudyRecord, attached: tuple = ()) -> list[str]:
-    """Collect every violated invariant; an empty list means the study is ok.
-
-    ``attached`` takes any records traveling with the study (labels, algorithm
-    outputs); their embedded regions are checked for well-formedness too.
-    """
+def validate_study(s: StudyRecord) -> list[str]:
+    """Collect every violated invariant; an empty list means the study is ok."""
     violations: list[str] = []
     if not s.study_uid:
         violations.append("study_uid empty")
@@ -195,11 +175,4 @@ def validate_study(s: StudyRecord, attached: tuple = ()) -> list[str]:
                          ("patient_id", ident.patient_id)):
         if value and value not in ident.phi_tokens:
             violations.append(f"phi_tokens missing {label}")
-    regions: list[tuple[str, Region]] = []
-    for i, rec in enumerate(attached):
-        _walk_regions(rec, f"attached[{i}]", regions)
-    for path, r in regions:
-        if not r.is_well_formed():
-            kind = "degenerate box" if r.kind is RegionKind.BOX else "bad point"
-            violations.append(f"{kind} at {path}")
     return violations

@@ -48,7 +48,7 @@ from enum import Enum
 from typing import Iterable
 
 from .canon import canonical_encode, digest_text
-from .feedback import StudyAgreement
+from .feedback import InputError, StudyAgreement
 from .model import FindingCode
 
 __all__ = [
@@ -133,10 +133,6 @@ class Notification:
 
 def _alert_id(kind: AlertKind, site: str, alg: str, ver: str, event_index: int) -> str:
     return digest_text(f"{kind.name}|{site}|{alg}|{ver}|{event_index}")[:16]
-
-
-class InputError(ValueError):
-    pass
 
 
 class AgreementStream:

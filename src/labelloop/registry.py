@@ -32,8 +32,8 @@ from .canon import (
 __all__ = [
     "ModelStatus", "DeploymentMode", "AuditAction", "ModelRecord",
     "DeploymentAssignment", "AuditEntry", "ChainHead", "Registry",
-    "ConflictError", "StateError", "entry_hash_of", "verify_audit_chain",
-    "GENESIS_HASH",
+    "ConflictError", "StateError", "ChainDecodeError", "entry_hash_of",
+    "verify_audit_chain", "GENESIS_HASH",
 ]
 
 GENESIS_HASH = "0" * 64
@@ -75,6 +75,13 @@ class ConflictError(ValueError):
 
 class StateError(ValueError):
     pass
+
+
+class ChainDecodeError(ValueError):
+    """A stored audit record that does not decode; the chain breaks at ``seq``."""
+    def __init__(self, seq: int, reason: str):
+        super().__init__(f"seq {seq}: {reason}")
+        self.seq = seq
 
 
 @dataclass(frozen=True)
@@ -252,13 +259,6 @@ class Registry:
             return self._append_audit_locked(
                 AuditAction.ASSIGN, actor, canonical_digest(assignment), at)
 
-    def active_assignment(self, site_id: str,
-                          algorithm_id: str) -> DeploymentAssignment | None:
-        for a in reversed(self.assignments):
-            if a.active and a.site_id == site_id and a.algorithm_id == algorithm_id:
-                return a
-        return None
-
     def list_sites_running(self, algorithm_id: str, version: str) -> set[str]:
         # an active assignment of a SUSPENDED version is not "running"
         rec = self.models.get((algorithm_id, version))
@@ -302,13 +302,31 @@ class Registry:
         return registry
 
     @staticmethod
-    def load_chain(directory: str | Path) -> tuple[list[AuditEntry], ChainHead | None]:
-        directory = Path(directory)
-        entries = [canonical_decode(line, AuditEntry)
-                   for line in _read_lines(directory / Registry.AUDIT_LOG)]
-        head_lines = _read_lines(directory / Registry.AUDIT_HEAD)
-        head = canonical_decode(head_lines[0], ChainHead) if head_lines else None
+    def load_chain(path: str | Path) -> tuple[list[AuditEntry], ChainHead | None]:
+        """Read an audit chain, unverified, from an ``audit.log`` path or a
+        directory holding one. The head comes from ``audit.head`` beside the
+        log; a missing head file means no head. An undecodable log line raises
+        ``ChainDecodeError`` with its 1-based seq, an undecodable head one with
+        seq ``max(1, len(entries))``; read failures raise ``OSError``."""
+        path = Path(path)
+        if path.is_dir():
+            path = path / Registry.AUDIT_LOG
+        entries = [_decode_stored(line, AuditEntry, seq)
+                   for seq, line in enumerate(_read_lines(path), 1)]
+        try:
+            head_lines = _read_lines(path.parent / Registry.AUDIT_HEAD)
+        except FileNotFoundError:
+            head_lines = []
+        head = (_decode_stored(head_lines[0], ChainHead, max(1, len(entries)))
+                if head_lines else None)
         return entries, head
+
+
+def _decode_stored(line: str, cls: type, seq: int):
+    try:
+        return canonical_decode(line, cls)
+    except (ValueError, TypeError, KeyError) as err:
+        raise ChainDecodeError(seq, str(err)) from err
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:

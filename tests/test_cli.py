@@ -20,7 +20,7 @@ from labelloop.harness import (
 )
 from labelloop.model import FindingCode
 from labelloop.protocol import TcpClient, envelope_from_line, make_envelope, EnvelopeKind
-from labelloop.registry import AuditEntry, Registry
+from labelloop.registry import AuditAction, AuditEntry, Registry
 from labelloop.reports import ExtractedLabel, LabelSet, LabelStrength, Polarity
 
 T0 = datetime(2024, 3, 1, tzinfo=timezone.utc)
@@ -187,6 +187,18 @@ class TestVerifyAudit:
         log.write_text("\n".join(lines[:3]) + "\n")
         assert cmd_verify_audit(str(path)) is ExitCode.AUDIT_BROKEN
         assert capsys.readouterr().out == "broken at seq 4\n"
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
+    def test_line_separator_inside_a_field_is_not_a_line_break(
+            self, tmp_path, capsys, separator):
+        # canonical JSON writes these raw inside strings; only "\n" ends a record
+        registry = Registry(now=lambda: T0)
+        registry.append_audit(AuditAction.REGISTER, f"ops{separator}team",
+                              digest_text("payload"), at=T0)
+        registry.save(tmp_path)
+        assert separator in (tmp_path / "audit.log").read_text(encoding="utf-8")
+        assert cmd_verify_audit(str(tmp_path)) is ExitCode.OK
+        assert capsys.readouterr().out == "ok\n"
 
     def test_missing_file_is_transient_io(self, tmp_path):
         err = io.StringIO()

@@ -2,7 +2,9 @@
 delivery, and the byte-level bundle contract."""
 
 import dataclasses
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -240,11 +242,33 @@ class TestRunScenario:
             needle = token.casefold()
             assert all(needle not in line for line in lines), token
 
-    def test_stage_labelled_failure(self, monkeypatch):
+    def test_finished_run_is_freed_by_reference_counting(self):
+        # a reference cycle keeps a whole run alive until a full collection,
+        # which raises peak memory when runs follow one another
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_scenario(tiny_config(n_studies=20, sites=1))
+            registry = weakref.ref(result.registry)
+            del result
+            assert registry() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("stage, callee", [
+        ("generate", "labelloop.harness.generate_case"),
+        ("report", "labelloop.harness.render_report"),
+        ("deidentify", "labelloop.harness.deidentify_study"),
+        ("extract", "labelloop.harness.extract_labels"),
+        ("execute", "labelloop.harness.simulate_algorithm"),
+        ("feedback", "labelloop.harness.match_detections"),
+        ("monitoring", "labelloop.monitoring.MonitoringEngine.observe_labels"),
+    ], ids=lambda v: v.rsplit(".", 1)[-1])
+    def test_stage_labelled_failure(self, monkeypatch, stage, callee):
         def explode(*args, **kwargs):
             raise RuntimeError("weights corrupted")
-        monkeypatch.setattr("labelloop.harness.simulate_algorithm", explode)
-        with pytest.raises(ScenarioError, match=r"study 0 stage execute"):
+        monkeypatch.setattr(callee, explode)
+        with pytest.raises(ScenarioError, match=rf"study 0 stage {stage}: "):
             run_scenario(tiny_config(n_studies=5, sites=1))
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from labelloop.model import (
     FindingCode, IdentityBlock, ImageRef, KindMismatchError, LEXICON,
-    PHRASE_TO_CODE, Region, RegionKind, box, point, region_iou, validate_study,
+    PHRASE_TO_CODE, box, point, region_iou, validate_study,
 )
 
 
@@ -97,16 +97,6 @@ def test_validate_phi_tokens_cover_identity(fixture_study):
     ident = dataclasses.replace(fixture_study.identity, phi_tokens=["P001"])
     s = dataclasses.replace(fixture_study, identity=ident)
     assert "phi_tokens missing patient_name" in validate_study(s)
-
-
-def test_validate_degenerate_box_in_attached_data(fixture_study):
-    @dataclasses.dataclass(frozen=True)
-    class Carrier:
-        region: Region
-
-    bad = Carrier(Region(RegionKind.BOX, 10, 0, 10, 5))
-    violations = validate_study(fixture_study, attached=(bad,))
-    assert any("degenerate box" in v for v in violations)
 
 
 def test_validate_blank_name_exempt_from_phi_rule(fixture_study):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from labelloop.canon import canonical_decode, canonical_encode
+from labelloop import feedback
 from labelloop.feedback import StudyAgreement
 from labelloop.model import FindingCode
 from labelloop.monitoring import (
@@ -139,6 +140,9 @@ class TestAgreementStream:
         stream = AgreementStream("siteA", "lung-cad", "2.1.0")
         with pytest.raises(InputError):
             stream.observe_study(agreement(tp=1, site="siteB"), AT)
+
+    def test_input_error_is_the_feedback_class(self):
+        assert InputError is feedback.InputError
 
     def test_drop_fires_with_evidence(self):
         stream = calibrated_stream(p0=0.9)
