@@ -26,7 +26,8 @@ same one publish equal copies and the caches need no lock.
 
 ``format_float``, ``format_datetime`` and ``parse_datetime`` are the single
 rendering authority for numbers and timestamps outside JSON lines too
-(report anchors, corpus headers, CSV bundles, the audit hash).
+(report anchors, CSV bundles, the audit hash); ``write_lines`` writes every
+log and bundle file.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from json.encoder import encode_basestring, encode_basestring_ascii
 __all__ = [
     "CanonError", "canonical_encode", "canonical_decode", "canonical_digest",
     "digest_bytes", "digest_text", "format_float", "format_datetime",
-    "parse_datetime",
+    "parse_datetime", "write_lines",
 ]
 
 
@@ -238,6 +239,13 @@ def digest_text(text: str) -> str:
 def canonical_digest(record: typing.Any) -> str:
     """SHA-256 hex digest of the record's canonical line."""
     return digest_text(canonical_encode(record))
+
+
+def write_lines(path, lines: typing.Iterable[str]) -> None:
+    """Write each line as UTF-8 followed by ``\n``, whatever the platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for line in lines:
+            f.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,6 @@ class ExitCode(enum.IntEnum):
     TRANSIENT_IO = 5
 
 
-def _diag(err, message: str) -> None:
-    print(message, file=err or sys.stderr)
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -73,19 +69,19 @@ def cmd_simulate(scenario_path: str, out_dir: str, seed: int | None = None,
     try:
         cfg = load_scenario(scenario_path)
     except OSError as e:
-        _diag(err, f"cannot read scenario: {e}")
+        print(f"cannot read scenario: {e}", file=err)
         return ExitCode.TRANSIENT_IO
     except (CanonError, ValueError, TypeError, KeyError) as e:
-        _diag(err, f"scenario does not parse: {e}")
+        print(f"scenario does not parse: {e}", file=err)
         return ExitCode.INVALID
 
     seed, bad = _resolve_override(seed, SEED_ENV_VAR, int, err)
     if bad:
-        _diag(err, bad)
+        print(bad, file=err)
         return ExitCode.INVALID
     cusum_h, bad = _resolve_override(cusum_h, CUSUM_H_ENV_VAR, float, err)
     if bad:
-        _diag(err, bad)
+        print(bad, file=err)
         return ExitCode.INVALID
 
     if seed is not None:
@@ -93,14 +89,14 @@ def cmd_simulate(scenario_path: str, out_dir: str, seed: int | None = None,
     problems = validate_scenario(cfg)
     if problems:
         for problem in problems:
-            _diag(err, problem)
+            print(problem, file=err)
         return ExitCode.INVALID
 
     monitor = MonitorConfig() if cusum_h is None else MonitorConfig(h=cusum_h)
     try:
         result = run_scenario(cfg, monitor)
     except Exception as e:
-        _diag(err, f"scenario run failed: {e}")
+        print(f"scenario run failed: {e}", file=err)
         return ExitCode.INVALID
     try:
         result.bundle.write(out_dir)
@@ -108,14 +104,14 @@ def cmd_simulate(scenario_path: str, out_dir: str, seed: int | None = None,
         # re-check the chain out of process
         result.registry.save(out_dir)
     except OSError as e:
-        _diag(err, f"cannot write bundle: {e}")
+        print(f"cannot write bundle: {e}", file=err)
         return ExitCode.TRANSIENT_IO
 
     if result.assertion_failures:
         for failure in result.assertion_failures:
-            _diag(err, f"assertion failed: {failure}")
+            print(f"assertion failed: {failure}", file=err)
         return ExitCode.ASSERTION_FAILED
-    _diag(err, f"bundle written to {out_dir}")
+    print(f"bundle written to {out_dir}", file=err)
     return ExitCode.OK
 
 
@@ -143,7 +139,7 @@ def cmd_hub(listen: str, spool_dir: str | None = None, on_ready=None,
     err = err or sys.stderr
     addr = _parse_listen(listen)
     if addr is None:
-        _diag(err, f"--listen must be ADDR:PORT, got {listen!r}")
+        print(f"--listen must be ADDR:PORT, got {listen!r}", file=err)
         return ExitCode.INVALID
 
     hub = Hub()
@@ -152,7 +148,7 @@ def cmd_hub(listen: str, spool_dir: str | None = None, on_ready=None,
         try:
             spool.mkdir(parents=True, exist_ok=True)
         except OSError as e:
-            _diag(err, f"cannot create spool dir: {e}")
+            print(f"cannot create spool dir: {e}", file=err)
             return ExitCode.TRANSIENT_IO
         hub.on_accept.append(
             lambda envelope, _record: write_spool(spool, envelope.site_id,
@@ -160,10 +156,10 @@ def cmd_hub(listen: str, spool_dir: str | None = None, on_ready=None,
     try:
         server = HubServer(addr, hub)
     except OSError as e:
-        _diag(err, f"cannot bind {listen}: {e}")
+        print(f"cannot bind {listen}: {e}", file=err)
         return ExitCode.TRANSIENT_IO
     host, port = server.server_address[0], server.server_address[1]
-    _diag(err, f"listening on {host}:{port}")
+    print(f"listening on {host}:{port}", file=err)
     if on_ready is not None:
         on_ready(server)
     try:
@@ -185,7 +181,7 @@ def cmd_verify_audit(log_path: str, out=None, err=None) -> ExitCode:
     try:
         broken = verify_audit_chain(*Registry.load_chain(log_path))
     except OSError as e:
-        _diag(err, f"cannot read audit log: {e}")
+        print(f"cannot read audit log: {e}", file=err)
         return ExitCode.TRANSIENT_IO
     except ChainDecodeError as e:
         # an unparseable record is a broken chain, not an I/O failure
@@ -210,13 +206,13 @@ def cmd_report(bundle_dir: str, out=None, err=None) -> ExitCode:
     out, err = out or sys.stdout, err or sys.stderr
     bundle = Path(bundle_dir)
     if not bundle.is_dir():
-        _diag(err, f"bundle directory not found: {bundle_dir}")
+        print(f"bundle directory not found: {bundle_dir}", file=err)
         return ExitCode.TRANSIENT_IO
     missing = [name for name in
                ("ledger.csv", "alerts.csv", "delays.csv", "audit.verdict")
                if not (bundle / name).exists()]
     if missing:
-        _diag(err, f"incomplete bundle, missing: {', '.join(missing)}")
+        print(f"incomplete bundle, missing: {', '.join(missing)}", file=err)
         return ExitCode.INVALID
 
     try:
@@ -224,7 +220,7 @@ def cmd_report(bundle_dir: str, out=None, err=None) -> ExitCode:
         alerts = _read_rows(bundle / "alerts.csv")
         delays = _read_rows(bundle / "delays.csv")
     except OSError as e:
-        _diag(err, f"cannot read bundle: {e}")
+        print(f"cannot read bundle: {e}", file=err)
         return ExitCode.TRANSIENT_IO
 
     key_of = lambda row: (row["site_id"], row["algorithm_id"], row["version"])
@@ -256,7 +252,7 @@ def cmd_report(bundle_dir: str, out=None, err=None) -> ExitCode:
             for row in rows:
                 f.write(",".join(row) + "\n")
     except OSError as e:
-        _diag(err, f"cannot write summary.csv: {e}")
+        print(f"cannot write summary.csv: {e}", file=err)
         return ExitCode.TRANSIENT_IO
     return ExitCode.OK
 

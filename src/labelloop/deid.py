@@ -17,8 +17,8 @@ case-insensitive alternation, because Unicode case folding also matches
 some non-ASCII letters to ASCII ones (KELVIN SIGN to ``k``, LONG S to ``s``,
 dotted and dotless I to ``i``).
 
-The receipt keeps the raw and the de-identified study and computes their
-digests only when first read; neither record appears in its ``repr``.
+The receipt records which fields were transformed and when; it holds no
+record, so no PHI.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from functools import cached_property
 
-from .canon import canonical_digest
 from .model import IdentityBlock, StudyRecord
 from .reports import InteractiveReport
 
@@ -89,23 +87,9 @@ class DeidPolicy:
 
 @dataclass(frozen=True)
 class DeidReceipt:
-    """What one de-identification did. The two digests are computed when
-    first read, from the records as they are then."""
+    """What one de-identification did."""
     fields_transformed: list[str]
     performed_at: datetime
-    # raw PHI: kept out of repr, equality and the canonical form
-    _original: StudyRecord = field(
-        repr=False, compare=False, metadata={"canon": "exclude"})
-    _deidentified: StudyRecord = field(
-        repr=False, compare=False, metadata={"canon": "exclude"})
-
-    @cached_property
-    def original_digest(self) -> str:
-        return canonical_digest(self._original)
-
-    @cached_property
-    def deid_digest(self) -> str:
-        return canonical_digest(self._deidentified)
 
 
 @dataclass(frozen=True)
@@ -122,9 +106,8 @@ def default_policy(site_secret: bytes) -> DeidPolicy:
     )
 
 
-def secret_from_env(environ: dict | None = None) -> bytes:
-    env = os.environ if environ is None else environ
-    raw = env.get(SECRET_ENV_VAR, "")
+def secret_from_env() -> bytes:
+    raw = os.environ.get(SECRET_ENV_VAR, "")
     if not raw:
         raise PolicyError(f"{SECRET_ENV_VAR} is not set")
     try:
@@ -264,8 +247,6 @@ def deidentify_study(
     receipt = DeidReceipt(
         fields_transformed=sorted(policy.actions),
         performed_at=now if now is not None else datetime.now(timezone.utc),
-        _original=s,
-        _deidentified=study,
     )
     return study, out_reports, receipt
 

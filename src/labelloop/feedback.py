@@ -27,16 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .canon import canonical_digest
 from .model import FindingCode, Region, RegionKind, region_iou
 from .reports import ExtractedLabel, LabelStrength, Polarity
 
 __all__ = [
     "ExecutionMode", "Detection", "AlgorithmOutput", "MatchPair",
-    "MatchResult", "MatchOptions", "StudyAgreement", "DiscrepancyKind",
-    "DiscrepancyItem", "LedgerRow", "InputError", "DEFAULT_TAU",
-    "match_detections", "score_study", "discrepancy_items",
-    "aggregate_metrics", "export_discrepancies", "greedy_select",
+    "MatchResult", "MatchOptions", "StudyAgreement", "LedgerRow",
+    "InputError", "DEFAULT_TAU", "match_detections", "score_study",
+    "aggregate_metrics", "greedy_select",
 ]
 
 DEFAULT_TAU = 0.3
@@ -45,11 +43,6 @@ DEFAULT_TAU = 0.3
 class ExecutionMode(Enum):
     LOCAL = "LOCAL"
     CENTRAL = "CENTRAL"
-
-
-class DiscrepancyKind(Enum):
-    FALSE_POSITIVE = "FALSE_POSITIVE"
-    FALSE_NEGATIVE = "FALSE_NEGATIVE"
 
 
 class InputError(ValueError):
@@ -104,17 +97,6 @@ class StudyAgreement:
     fn: int
     unverified: int
     pairs: list[MatchPair] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class DiscrepancyItem:
-    site_id: str
-    study_uid: str
-    kind: DiscrepancyKind
-    finding: FindingCode
-    algorithm_id: str
-    version: str
-    detail_digest: str
 
 
 @dataclass(frozen=True)
@@ -195,60 +177,35 @@ def match_detections(out: AlgorithmOutput, labels: list[ExtractedLabel],
     return MatchResult(out, list(labels), pairs, options)
 
 
-def _buckets(match: MatchResult):
-    """Index partition shared by scoring and discrepancy export."""
+def score_study(match: MatchResult, site_id: str) -> StudyAgreement:
     out, labels = match.output, match.labels
     used_d = {p.detection_index for p in match.pairs}
     used_l = {p.label_index for p in match.pairs}
     mentioned = {lab.finding for lab in labels}
     matched_codes = {out.detections[p.detection_index].finding for p in match.pairs}
 
-    fn_idx = [i for i, lab in enumerate(labels)
-              if i not in used_l and lab.polarity is Polarity.POSITIVE]
-    fp_idx: list[int] = []
-    unverified_idx: list[int] = []
+    fn = sum(1 for i, lab in enumerate(labels)
+             if i not in used_l and lab.polarity is Polarity.POSITIVE)
+    demote = matched_codes if match.options.representative_demotion else set()
+    fp = unverified = 0
     for i, det in enumerate(out.detections):
         if i in used_d:
             continue
-        if det.finding not in mentioned:
-            unverified_idx.append(i)
-        elif match.options.representative_demotion and det.finding in matched_codes:
-            unverified_idx.append(i)
+        if det.finding not in mentioned or det.finding in demote:
+            unverified += 1
         else:
-            fp_idx.append(i)
-    return fn_idx, fp_idx, unverified_idx
-
-
-def score_study(match: MatchResult, site_id: str) -> StudyAgreement:
-    fn_idx, fp_idx, unverified_idx = _buckets(match)
+            fp += 1
     return StudyAgreement(
-        study_uid=match.output.study_uid,
-        algorithm_id=match.output.algorithm_id,
-        version=match.output.version,
+        study_uid=out.study_uid,
+        algorithm_id=out.algorithm_id,
+        version=out.version,
         site_id=site_id,
         tp=len(match.pairs),
-        fp=len(fp_idx),
-        fn=len(fn_idx),
-        unverified=len(unverified_idx),
+        fp=fp,
+        fn=fn,
+        unverified=unverified,
         pairs=list(match.pairs),
     )
-
-
-def discrepancy_items(match: MatchResult, site_id: str) -> list[DiscrepancyItem]:
-    fn_idx, fp_idx, _ = _buckets(match)
-    out = match.output
-    items = []
-    for i in fp_idx:
-        det = out.detections[i]
-        items.append(DiscrepancyItem(
-            site_id, out.study_uid, DiscrepancyKind.FALSE_POSITIVE,
-            det.finding, out.algorithm_id, out.version, canonical_digest(det)))
-    for i in fn_idx:
-        lab = match.labels[i]
-        items.append(DiscrepancyItem(
-            site_id, out.study_uid, DiscrepancyKind.FALSE_NEGATIVE,
-            lab.finding, out.algorithm_id, out.version, canonical_digest(lab)))
-    return items
 
 
 def aggregate_metrics(agreements) -> dict[tuple[str, str, str], LedgerRow]:
@@ -272,14 +229,3 @@ def aggregate_metrics(agreements) -> dict[tuple[str, str, str], LedgerRow]:
             ppv=tp / (tp + fp) if tp + fp else None,
         )
     return ledger
-
-
-def export_discrepancies(items, version: str | None = None,
-                         algorithm_id: str | None = None) -> list[DiscrepancyItem]:
-    """Stable, replayable ordering by (site, study, finding)."""
-    kept = [it for it in items
-            if (version is None or it.version == version)
-            and (algorithm_id is None or it.algorithm_id == algorithm_id)]
-    return sorted(kept, key=lambda it: (
-        it.site_id, it.study_uid, it.finding.name, it.kind.name, it.detail_digest))
-

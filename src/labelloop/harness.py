@@ -27,16 +27,15 @@ import hmac
 import math
 import os
 import random
-import threading
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 from .canon import (
     canonical_decode, canonical_digest, canonical_encode, digest_text,
-    format_datetime, format_float,
+    format_datetime, format_float, write_lines,
 )
-from .deid import SECRET_ENV_VAR, default_policy, deidentify_study
+from .deid import SECRET_ENV_VAR, default_policy, deidentify_study, secret_from_env
 from .feedback import (
     AlgorithmOutput, Detection, ExecutionMode, MatchOptions, StudyAgreement,
     aggregate_metrics, match_detections, score_study,
@@ -46,11 +45,12 @@ from .model import (
     LEXICON, StudyRecord, Unit, box,
 )
 from .monitoring import (
-    Alert, AlertKind, MonitorConfig, MonitoringEngine, Notification,
+    NO_ALGORITHM, Alert, AlertKind, MonitorConfig, MonitoringEngine,
+    Notification,
 )
 from .protocol import (
-    AckStatus, AlertAck, Envelope, EnvelopeKind, Hub, HubServer,
-    InProcessClient, TcpClient, make_envelope, submit_batch,
+    AckStatus, AlertAck, EnvelopeKind, Hub, InProcessClient, make_envelope,
+    submit_batch,
 )
 from .registry import (
     AuditAction, DeploymentAssignment, DeploymentMode, ModelRecord,
@@ -67,7 +67,7 @@ __all__ = [
     "ScenarioConfig", "ScenarioError", "ScenarioResult", "SiteConfig",
     "TruthLesion", "generate_case", "load_scenario", "make_scenario",
     "render_report", "run_scenario", "save_scenario", "simulate_algorithm",
-    "stress_ingest", "validate_scenario",
+    "validate_scenario",
 ]
 
 T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -304,9 +304,7 @@ class TruthLesion:
 class _Patient:
     name: str
     patient_id: str
-    birth_date_year: int
-    birth_date_month: int
-    birth_date_day: int
+    birth_date: date
 
 
 class _SiteState:
@@ -335,9 +333,8 @@ def _new_patient(state: _SiteState, rng: random.Random) -> _Patient:
     patient = _Patient(
         name=name,
         patient_id=f"P0{state.serial:05d}",
-        birth_date_year=rng.randint(1940, 2005),
-        birth_date_month=rng.randint(1, 12),
-        birth_date_day=rng.randint(1, 28),
+        birth_date=date(rng.randint(1940, 2005), rng.randint(1, 12),
+                        rng.randint(1, 28)),
     )
     state.patients.append(patient)
     return patient
@@ -345,8 +342,6 @@ def _new_patient(state: _SiteState, rng: random.Random) -> _Patient:
 
 def generate_case(rng: random.Random, case_mix: dict[str, float],
                   state: _SiteState) -> tuple[StudyRecord, list[TruthLesion]]:
-    from datetime import date as _date
-
     state.study_serial += 1
     idx = state.study_serial
     site_id = state.site.site_id
@@ -381,8 +376,7 @@ def generate_case(rng: random.Random, case_mix: dict[str, float],
         identity=IdentityBlock(
             patient_name=patient.name,
             patient_id=patient.patient_id,
-            birth_date=_date(patient.birth_date_year, patient.birth_date_month,
-                             patient.birth_date_day),
+            birth_date=patient.birth_date,
             accession_number=accession,
             phi_tokens=[patient.name, patient.patient_id, accession],
         ),
@@ -593,7 +587,7 @@ class MetricsBundle:
                 row.site_id, row.algorithm_id, row.version, str(row.tp),
                 str(row.fp), str(row.fn), str(row.unverified),
                 opt(row.sensitivity), opt(row.ppv)]))
-        _write_text(out / "ledger.csv", lines)
+        write_lines(out / "ledger.csv", lines)
 
         lines = [self.ALERTS_HEADER]
         for a in self.alerts:
@@ -604,7 +598,7 @@ class MetricsBundle:
                 str(a.evidence.event_index),
                 format_datetime(a.raised_at),
                 ";".join(self.recipients.get(a.alert_id, []))]))
-        _write_text(out / "alerts.csv", lines)
+        write_lines(out / "alerts.csv", lines)
 
         lines = [self.DELAYS_HEADER]
         for d in self.delays:
@@ -613,17 +607,11 @@ class MetricsBundle:
                 opt(d.change_index), opt(d.alert_index), opt(d.delay),
                 "yes" if d.delay is not None else "no",
                 str(d.false_alarms)]))
-        _write_text(out / "delays.csv", lines)
+        write_lines(out / "delays.csv", lines)
 
-        _write_text(out / "alerts.log",
+        write_lines(out / "alerts.log",
                     [canonical_encode(a) for a in self.alerts])
-        _write_text(out / "audit.verdict", [self.audit_verdict])
-
-
-def _write_text(path: Path, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in lines:
-            f.write(line + "\n")
+        write_lines(out / "audit.verdict", [self.audit_verdict])
 
 
 @dataclass
@@ -640,7 +628,6 @@ class ScenarioResult:
 
 def _master_secret(seed: int) -> bytes:
     if os.environ.get(SECRET_ENV_VAR):
-        from .deid import secret_from_env
         return secret_from_env()
     # synthetic data only; derived so unseeded runs still never share secrets
     return hashlib.sha256(f"labelloop-master:{seed}".encode()).digest()
@@ -722,7 +709,8 @@ class _Run:
                        for s in cfg.sites}
 
     def _send(self, site_id: str, kind: EnvelopeKind, record, at: datetime) -> None:
-        ack = self.client.submit(make_envelope(site_id, kind, record, at))
+        # a site's at-least-once submission, as over TCP
+        [ack] = submit_batch(self.client, [make_envelope(site_id, kind, record, at)])
         self.counts[site_id][_ACK_BUCKETS[ack.status]] += 1
         if ack.status is AckStatus.REJECTED:
             raise ScenarioError(f"hub rejected {kind.name}: {ack.reason}")
@@ -831,7 +819,7 @@ class _Run:
         verdict = "ok" if broken is None else f"broken at seq {broken}"
         ledger_rows = [row for _, row in
                        sorted(aggregate_metrics(self.agreements).items())]
-        delays = _delay_rows(cfg, self.engine, self.alerts, self.change_points,
+        delays = _delay_rows(self.engine, self.alerts, self.change_points,
                              self.external_changes)
         bundle = MetricsBundle(ledger=ledger_rows, alerts=self.alerts,
                                recipients=self.recipients, delays=delays,
@@ -867,43 +855,24 @@ def run_scenario(cfg: ScenarioConfig,
     return run.result()
 
 
-def _delay_rows(cfg, engine, alerts, change_points, external_changes):
-    rows = []
-    internal = {}
-    external = {}
+def _delay_rows(engine, alerts, change_points, external_changes):
+    # a row per stream, then a row per site profile under NO_ALGORITHM
+    fires = {}
     for a in alerts:
-        if a.kind is AlertKind.INTERNAL_DRIFT:
-            internal.setdefault((a.site_id, a.algorithm_id, a.version),
-                                []).append(a.evidence.event_index)
-        else:
-            external.setdefault(a.site_id, []).append(a.evidence.event_index)
-    for key in sorted(engine.streams):
-        site, alg, ver = key
-        fires = internal.get(key, [])
-        change = change_points.get(key)
-        if change is None:
-            rows.append(DelayRow(site, alg, ver, "INTERNAL_DRIFT", None, None,
-                                 None, len(fires)))
-        else:
-            post = [f for f in fires if f > change]
-            first = post[0] if post else None
-            rows.append(DelayRow(
-                site, alg, ver, "INTERNAL_DRIFT", change, first,
-                None if first is None else first - change,
-                len(fires) - len(post)))
-    for site in sorted(engine.profiles):
-        fires = external.get(site, [])
-        change = external_changes.get(site)
-        if change is None:
-            rows.append(DelayRow(site, "-", "-", "EXTERNAL_DRIFT", None, None,
-                                 None, len(fires)))
-        else:
-            post = [f for f in fires if f > change]
-            first = post[0] if post else None
-            rows.append(DelayRow(
-                site, "-", "-", "EXTERNAL_DRIFT", change, first,
-                None if first is None else first - change,
-                len(fires) - len(post)))
+        fires.setdefault((a.kind, a.site_id, a.algorithm_id, a.version),
+                         []).append(a.evidence.event_index)
+    groups = ([(AlertKind.INTERNAL_DRIFT, key, change_points.get(key))
+               for key in sorted(engine.streams)]
+              + [(AlertKind.EXTERNAL_DRIFT, (site, NO_ALGORITHM, NO_ALGORITHM),
+                  external_changes.get(site)) for site in sorted(engine.profiles)])
+    rows = []
+    for kind, (site, alg, ver), change in groups:
+        got = fires.get((kind, site, alg, ver), [])
+        post = [] if change is None else [f for f in got if f > change]
+        first = post[0] if post else None
+        rows.append(DelayRow(site, alg, ver, kind.name, change, first,
+                             None if first is None else first - change,
+                             len(got) - len(post)))
     return rows
 
 
@@ -926,47 +895,3 @@ def _check_assertions(cfg: ScenarioConfig, bundle: MetricsBundle,
                     f"alert on {'/'.join(key)} took {row.delay} events, "
                     f"budget {budget}")
     return failures
-
-
-# ---------------------------------------------------------------------------
-# stress mode
-
-
-def stress_ingest(cfg: ScenarioConfig) -> tuple[Hub, int]:
-    """Order-independent variant: every site submits its envelopes from its
-    own thread through real TCP framing. Returns the hub and the expected
-    number of unique stored envelopes."""
-    result = run_scenario(cfg)
-    by_site: dict[str, list[Envelope]] = {s.site_id: [] for s in cfg.sites}
-    for envelope in result.hub.envelopes():
-        by_site[envelope.site_id].append(envelope)
-    expected = sum(len(v) for v in by_site.values())
-
-    hub = Hub()
-    server = HubServer(("127.0.0.1", 0), hub)
-    server.serve_in_background()
-    try:
-        port = server.server_address[1]
-        errors: list[BaseException] = []
-
-        def pump(envelopes: list[Envelope]) -> None:
-            try:
-                with TcpClient("127.0.0.1", port) as tcp:
-                    # resubmit everything twice: duplicates must be harmless
-                    submit_batch(tcp, envelopes, sleep=lambda _: None)
-                    submit_batch(tcp, envelopes, sleep=lambda _: None)
-            except BaseException as err:
-                errors.append(err)
-
-        threads = [threading.Thread(target=pump, args=(v,))
-                   for v in by_site.values()]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise ScenarioError(f"stress ingest failed: {errors[0]}")
-    finally:
-        server.shutdown()
-        server.server_close()
-    return hub, expected

@@ -285,15 +285,11 @@ def prevalence_shift_check(profile: PrevalenceProfile,
     )
 
 
-def propagate_alert(alert: Alert, registry, delivered_at: datetime,
-                    already_propagated: set[str] | None = None) -> list[Notification]:
+def propagate_alert(alert: Alert, registry,
+                    delivered_at: datetime) -> list[Notification]:
     """Fan an alert out to every site actively running the implicated version
-    plus the developer channel. Idempotent per alert_id when the caller
-    supplies the propagation set (the engine does)."""
-    if already_propagated is not None:
-        if alert.alert_id in already_propagated:
-            return []
-        already_propagated.add(alert.alert_id)
+    plus the developer channel; ``MonitoringEngine.propagate`` makes this
+    idempotent per alert_id."""
     if alert.algorithm_id == NO_ALGORITHM:
         sites = {alert.site_id}  # data drift implicates no algorithm
     else:
@@ -336,15 +332,20 @@ class MonitoringEngine:
 
     def propagate(self, alert: Alert, registry,
                   delivered_at: datetime) -> list[Notification]:
-        return propagate_alert(alert, registry, delivered_at, self.propagated)
+        """Propagate each alert_id once; a repeat returns no notifications."""
+        if alert.alert_id in self.propagated:
+            return []
+        self.propagated.add(alert.alert_id)
+        return propagate_alert(alert, registry, delivered_at)
 
 
 def replay_events(events: Iterable[int], config: MonitorConfig = MonitorConfig(),
                   site_id: str = "replay", algorithm_id: str = "alg",
                   version: str = "1") -> list[int]:
     """Drive a raw 0/1 stream through the real calibration + CUSUM path and
-    return the 1-based event indices at which the detector fired. This is the
-    tuning and acceptance harness for (k, h)."""
+    return the 1-based event indices at which the detector fired. The loop
+    never calls it: it is the (k, h) tuning harness behind criterion 5 and
+    the numbers in this module's docstring."""
     stream = AgreementStream(site_id, algorithm_id, version, config)
     at = datetime(2024, 1, 1, tzinfo=timezone.utc)
     fires = []

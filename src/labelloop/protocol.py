@@ -1,8 +1,10 @@
 """Site-to-hub wire contract: typed envelopes, idempotent ingestion, retries.
 
 Transport framing is a 4-byte big-endian length followed by one UTF-8 JSON
-body (the envelope's canonical line). The same line, unframed, is what spool
-files (`*.env.jsonl`) carry, one envelope per line, for offline courier mode.
+body (the envelope's canonical line); client and server read frames through
+one reader. The same line, unframed, is what spool files (`*.env.jsonl`)
+carry, one envelope per line, when ``labelloop hub --spool`` keeps the
+accepted envelopes.
 
 Ingestion semantics per idempotency_key:
     first presentation             -> ACCEPTED, payload persisted
@@ -253,6 +255,9 @@ class Hub:
         self.on_accept: list[Callable[[Envelope, object], None]] = []
 
     def fail_next_ingests(self, n: int) -> None:
+        """Fault injection: the next ``n`` ingests that pass validation raise
+        ``TransientStoreError`` and store nothing. The retry and idempotency
+        tests drive ``submit_batch`` and the TCP path through it."""
         with self._lock:
             self._fail_budget = n
 
@@ -290,7 +295,8 @@ class Hub:
 
     def records(self, kind: EnvelopeKind) -> list:
         """The store read back as typed records of ``kind``, in acceptance
-        order, for acceptance checks and consumers; decoded on each call."""
+        order, decoded on each call. The acceptance check of the matching
+        oracle reads the hub's labels and outputs through it."""
         with self._lock:
             payloads = [e.payload for e in self._envelopes.values() if e.kind is kind]
         return [canonical_decode(p, _PAYLOAD_TYPES[kind]) for p in payloads]
@@ -298,26 +304,6 @@ class Hub:
     def envelopes(self) -> list[Envelope]:
         with self._lock:
             return list(self._envelopes.values())
-
-    def process_spool(self, spool_dir: str | Path) -> list[Ack]:
-        """Offline courier mode: ingest every `*.env.jsonl` line in filename
-        order, writing one `.acks.jsonl` sidecar per file."""
-        acks: list[Ack] = []
-        for path in sorted(Path(spool_dir).glob("*.env.jsonl")):
-            file_acks = []
-            for line in path.read_text("utf-8").splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    ack = self.ingest(envelope_from_line(line))
-                except (FrameError, IntegrityError, VersionError) as err:
-                    ack = Ack("", AckStatus.REJECTED, str(err))
-                file_acks.append(ack)
-            sidecar = path.with_name(path.name[:-len(".env.jsonl")] + ".acks.jsonl")
-            sidecar.write_text(
-                "".join(canonical_encode(a) + "\n" for a in file_acks), "utf-8")
-            acks.extend(file_acks)
-        return acks
 
 
 def write_spool(spool_dir: str | Path, name: str, envelopes: Iterable[Envelope]) -> Path:
@@ -365,12 +351,17 @@ class TcpClient:
                 self._sock = socket.create_connection(self._addr, self._timeout)
                 self._sock.settimeout(self._timeout)
             self._sock.sendall(encode_envelope(e))
-            header = _read_exact(self._sock, 4)
-            body = _read_exact(self._sock, int.from_bytes(header, "big"))
+            frame = _read_frame(self._sock)
         except OSError as err:
             self.close()
             raise TransientStoreError(f"transport failure: {err}") from None
-        return canonical_decode(body.decode("utf-8"), Ack)
+        return canonical_decode(frame[4:].decode("utf-8"), Ack)
+
+
+def _read_frame(sock: socket.socket) -> bytes:
+    """One frame, length prefix included; ``OSError`` if the peer closes."""
+    header = _read_exact(sock, 4)
+    return header + _read_exact(sock, int.from_bytes(header, "big"))
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:
@@ -412,21 +403,16 @@ class _HubHandler(socketserver.BaseRequestHandler):
         sock = self.request
         while True:
             try:
-                header = _read_exact(sock, 4)
+                frame = _read_frame(sock)
             except OSError:
                 return
             try:
-                body = _read_exact(sock, int.from_bytes(header, "big"))
-            except OSError:
-                return
-            try:
-                envelope = envelope_from_line(body.decode("utf-8"))
-                ack = self.server.hub.ingest(envelope)
+                ack = self.server.hub.ingest(decode_envelope(frame))
             except TransientStoreError:
                 # no ack at all: the dropped connection tells the client to retry
                 sock.close()
                 return
-            except (FrameError, IntegrityError, VersionError, UnicodeDecodeError) as err:
+            except (FrameError, IntegrityError, VersionError) as err:
                 ack = Ack("", AckStatus.REJECTED, str(err))
             out = canonical_encode(ack).encode("utf-8")
             sock.sendall(len(out).to_bytes(4, "big") + out)

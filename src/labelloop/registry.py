@@ -27,6 +27,7 @@ from typing import Callable, Iterable
 
 from .canon import (
     canonical_decode, canonical_digest, canonical_encode, format_datetime,
+    write_lines,
 )
 
 __all__ = [
@@ -217,12 +218,6 @@ class Registry:
             return self._append_audit_locked(
                 AuditAction.REGISTER, actor, canonical_digest(rec), at)
 
-    def get_model(self, algorithm_id: str, version: str) -> ModelRecord:
-        try:
-            return self.models[(algorithm_id, version)]
-        except KeyError:
-            raise StateError(f"unknown version {algorithm_id} {version}") from None
-
     def set_status(self, algorithm_id: str, version: str,
                    status: ModelStatus, actor: str = "hub",
                    at: datetime | None = None) -> AuditEntry:
@@ -274,32 +269,17 @@ class Registry:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         with self._lock:
-            _write_lines(directory / self.MODELS_LOG,
-                         (canonical_encode(m) for m in
-                          sorted(self.models.values(),
-                                 key=lambda m: (m.algorithm_id, m.version))))
-            _write_lines(directory / self.ASSIGNMENTS_LOG,
-                         (canonical_encode(a) for a in self.assignments))
-            _write_lines(directory / self.AUDIT_LOG,
-                         (canonical_encode(e) for e in self.audit))
+            write_lines(directory / self.MODELS_LOG,
+                        (canonical_encode(m) for m in
+                         sorted(self.models.values(),
+                                key=lambda m: (m.algorithm_id, m.version))))
+            write_lines(directory / self.ASSIGNMENTS_LOG,
+                        (canonical_encode(a) for a in self.assignments))
+            write_lines(directory / self.AUDIT_LOG,
+                        (canonical_encode(e) for e in self.audit))
             head = self.head()
-            _write_lines(directory / self.AUDIT_HEAD,
-                         [canonical_encode(head)] if head else [])
-
-    @classmethod
-    def load(cls, directory: str | Path,
-             now: Callable[[], datetime] | None = None) -> "Registry":
-        directory = Path(directory)
-        registry = cls(now=now)
-        for line in _read_lines(directory / cls.MODELS_LOG):
-            rec = canonical_decode(line, ModelRecord)
-            registry.models[(rec.algorithm_id, rec.version)] = rec
-        registry.assignments = [
-            canonical_decode(line, DeploymentAssignment)
-            for line in _read_lines(directory / cls.ASSIGNMENTS_LOG)]
-        registry.audit = [canonical_decode(line, AuditEntry)
-                          for line in _read_lines(directory / cls.AUDIT_LOG)]
-        return registry
+            write_lines(directory / self.AUDIT_HEAD,
+                        [canonical_encode(head)] if head else [])
 
     @staticmethod
     def load_chain(path: str | Path) -> tuple[list[AuditEntry], ChainHead | None]:
@@ -322,19 +302,15 @@ class Registry:
         return entries, head
 
 
-def _decode_stored(line: str, cls: type, seq: int):
+def _decode_stored(line: bytes, cls: type, seq: int):
     try:
-        return canonical_decode(line, cls)
+        # a line that is not UTF-8 raises UnicodeDecodeError, a ValueError
+        return canonical_decode(line.decode("utf-8"), cls)
     except (ValueError, TypeError, KeyError) as err:
         raise ChainDecodeError(seq, str(err)) from err
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in lines:
-            f.write(line + "\n")
-
-
-def _read_lines(path: Path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f if line.strip()]
+def _read_lines(path: Path) -> list[bytes]:
+    # undecoded, so that a line that is not UTF-8 fails with its own seq
+    with open(path, "rb") as f:
+        return [line.rstrip(b"\n") for line in f if line.strip()]

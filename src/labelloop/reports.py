@@ -20,18 +20,17 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 
-from .canon import format_datetime, format_float, parse_datetime
+from .canon import format_float
 from .model import (
     FindingCode, LEXICON, Measurement, PHRASE_TO_CODE, Region, RegionKind,
-    StudyRecord, Unit,
+    StudyRecord, Unit, box, point,
 )
 
 __all__ = [
     "Polarity", "LabelStrength", "DiagnosticKind", "InteractiveReport",
     "HyperlinkAnchor", "ExtractedLabel", "LabelSet", "Diagnostic",
-    "ParseError", "ReferentialError", "parse_report", "parse_body",
-    "bind_anchors", "extract_labels", "format_anchor", "render_corpus_file",
-    "NEGATION_CUES",
+    "ParseError", "ReferentialError", "parse_body", "bind_anchors",
+    "extract_labels", "format_anchor", "NEGATION_CUES",
 ]
 
 
@@ -164,12 +163,6 @@ def format_anchor(image_uid: str, frame: int, region: Region,
     return f"{{{{link|image={image_uid}|frame={frame}|{loc}{meas}}}}}"
 
 
-def render_corpus_file(report: InteractiveReport) -> str:
-    head = "\t".join([report.report_uid, report.study_uid, report.author_id,
-                      format_datetime(report.authored_at)])
-    return head + "\n" + report.body
-
-
 def _scan_anchors(body: str) -> list[HyperlinkAnchor]:
     anchors = []
     pos = 0
@@ -181,10 +174,10 @@ def _scan_anchors(body: str) -> list[HyperlinkAnchor]:
         if m is None:
             raise ParseError("malformed anchor", start)
         if m.group("bx0") is not None:
-            region = Region(RegionKind.BOX, int(m.group("bx0")), int(m.group("by0")),
-                            int(m.group("bx1")), int(m.group("by1")))
+            region = box(int(m.group("bx0")), int(m.group("by0")),
+                         int(m.group("bx1")), int(m.group("by1")))
         else:
-            region = Region(RegionKind.POINT, int(m.group("px")), int(m.group("py")))
+            region = point(int(m.group("px")), int(m.group("py")))
         meas = None
         if m.group("meas") is not None:
             meas = Measurement(float(m.group("meas")), Unit[m.group("unit")])
@@ -268,26 +261,6 @@ def parse_body(report: InteractiveReport, study: StudyRecord) -> ParsedReport:
     sentences = _split_sentences(masked)
     mentions = _find_mentions(masked, sentences)
     return ParsedReport(report, anchors, sentences, mentions)
-
-
-def parse_report(raw: str, study: StudyRecord) -> ParsedReport:
-    """Parse a corpus file: a one-line tab header, then the verbatim body."""
-    newline = raw.find("\n")
-    if newline < 0:
-        raise ParseError("missing body separator", len(raw))
-    header = raw[:newline]
-    parts = header.split("\t")
-    if len(parts) != 4:
-        raise ParseError("header needs report_uid, study_uid, author_id, authored_at", 0)
-    report_uid, study_uid, author_id, authored_at = parts
-    report = InteractiveReport(
-        report_uid=report_uid,
-        study_uid=study_uid,
-        body=raw[newline + 1:],
-        authored_at=parse_datetime(authored_at),
-        author_id=author_id,
-    )
-    return parse_body(report, study)
 
 
 def _sentence_of(anchor: HyperlinkAnchor, sentences: list[_Sentence]) -> int:

@@ -180,6 +180,15 @@ class TestVerifyAudit:
         assert cmd_verify_audit(str(path)) is ExitCode.AUDIT_BROKEN
         assert capsys.readouterr().out == "broken at seq 4\n"
 
+    def test_byte_not_utf8_is_broken_not_a_crash(self, tmp_path, capsys):
+        path = audit_dir(tmp_path, n=4)
+        log = path / "audit.log"
+        data = bytearray(log.read_bytes())
+        data[20] = 0xFF
+        log.write_bytes(bytes(data))
+        assert cmd_verify_audit(str(path)) is ExitCode.AUDIT_BROKEN
+        assert capsys.readouterr().out == "broken at seq 1\n"
+
     def test_truncation_is_caught_via_the_head(self, tmp_path, capsys):
         path = audit_dir(tmp_path, n=5)
         log = path / "audit.log"

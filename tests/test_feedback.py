@@ -1,4 +1,4 @@
-"""Matching, scoring buckets, ledger fold, discrepancy export."""
+"""Matching, scoring buckets, ledger fold."""
 
 import itertools
 import random
@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from labelloop.feedback import (
-    AlgorithmOutput, Detection, DiscrepancyKind, ExecutionMode, InputError,
-    MatchOptions, aggregate_metrics, discrepancy_items, export_discrepancies,
-    greedy_select, match_detections, score_study,
+    AlgorithmOutput, Detection, ExecutionMode, InputError, MatchOptions,
+    aggregate_metrics, greedy_select, match_detections, score_study,
 )
 from labelloop.model import FindingCode, box, point, region_iou
 from labelloop.reports import ExtractedLabel, LabelStrength, Polarity
@@ -184,28 +183,6 @@ def test_ledger_matches_recount_oracle():
         assert (row.tp, row.fp, row.fn) == (tp, fp, fn)
         if tp + fn:
             assert row.sensitivity == pytest.approx(tp / (tp + fn))
-
-
-def test_discrepancy_export_counts_and_order():
-    det = Detection(HEM, box(0, 0, 10, 10), 0.9)
-    m = match_detections(out_of(det), [text_only(HEM, Polarity.NEGATIVE),
-                                       hyper(NOD, box(50, 50, 60, 60), sentence=1)])
-    items = discrepancy_items(m, site_id="A")
-    assert {it.kind for it in items} == {DiscrepancyKind.FALSE_POSITIVE,
-                                         DiscrepancyKind.FALSE_NEGATIVE}
-    assert len(items) == 2
-    ordered = export_discrepancies(items)
-    assert ordered == sorted(ordered, key=lambda it: (it.site_id, it.study_uid,
-                                                      it.finding.name, it.kind.name,
-                                                      it.detail_digest))
-
-
-def test_discrepancy_version_filter():
-    det = Detection(HEM, box(0, 0, 10, 10), 0.9)
-    m = match_detections(out_of(det), [text_only(HEM, Polarity.NEGATIVE)])
-    items = discrepancy_items(m, site_id="A")
-    assert export_discrepancies(items, version="9.9") == []
-    assert len(export_discrepancies(items, version="1.0")) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ delivery, and the byte-level bundle contract."""
 import dataclasses
 import gc
 import random
+import threading
 import weakref
 from pathlib import Path
 
@@ -15,12 +16,13 @@ from labelloop.harness import (
     AlgorithmProfile, AlgorithmSpec, DriftEvent, DriftKind, RadiologistProfile,
     ScenarioAssertions, ScenarioConfig, ScenarioError, SiteConfig, TruthLesion,
     _SiteState, generate_case, load_scenario, make_scenario, render_report,
-    run_scenario, save_scenario, simulate_algorithm, stress_ingest,
-    validate_scenario,
+    run_scenario, save_scenario, simulate_algorithm, validate_scenario,
 )
 from labelloop.model import FindingCode, Measurement, Unit, box
 from labelloop.monitoring import AlertKind, MonitorConfig
-from labelloop.protocol import EnvelopeKind
+from labelloop.protocol import (
+    Envelope, EnvelopeKind, Hub, HubServer, TcpClient, submit_batch,
+)
 from labelloop.registry import AuditAction
 from labelloop.reports import LabelStrength, Polarity, extract_labels, parse_body
 
@@ -304,6 +306,23 @@ class TestDriftDelivery:
             assert row.delay is not None and row.delay <= 300
             assert row.false_alarms == 0
 
+    def test_prevalence_shift_gets_an_external_delay_row(self):
+        cfg = dataclasses.replace(
+            tiny_config(n_studies=400, sites=1),
+            drift_events=[DriftEvent(at_study=200, kind=DriftKind.PREVALENCE_SHIFT,
+                                     code="HEMORRHAGE", new_probability=0.7)])
+        result = run_scenario(cfg, MonitorConfig(prevalence_calibration=100,
+                                                 prevalence_window=100))
+        external = [d for d in result.bundle.delays if d.kind == "EXTERNAL_DRIFT"]
+        assert [(d.site_id, d.algorithm_id, d.version) for d in external] == [
+            (cfg.sites[0].site_id, "-", "-")]
+        row = external[0]
+        assert row.change_index == 200
+        assert row.delay == row.alert_index - 200 and 0 < row.delay <= 100
+        assert row.false_alarms == sum(
+            1 for a in result.bundle.alerts
+            if a.kind is AlertKind.EXTERNAL_DRIFT and a.evidence.event_index <= 200)
+
     def test_fan_out_reaches_running_sites_and_developer_once(self, drifted):
         cfg, result = drifted
         site_ids = sorted(s.site_id for s in cfg.sites)
@@ -351,6 +370,46 @@ class TestBundleBytes:
         other = run_scenario(tiny_config(n_studies=40, seed=2))
         assert [canonical_encode(r) for r in base.bundle.ledger] != \
             [canonical_encode(r) for r in other.bundle.ledger]
+
+
+def stress_ingest(cfg: ScenarioConfig) -> tuple[Hub, int]:
+    """Order-independent variant: every site submits its envelopes from its
+    own thread through real TCP framing. Returns the hub and the expected
+    number of unique stored envelopes."""
+    result = run_scenario(cfg)
+    by_site: dict[str, list[Envelope]] = {s.site_id: [] for s in cfg.sites}
+    for envelope in result.hub.envelopes():
+        by_site[envelope.site_id].append(envelope)
+    expected = sum(len(v) for v in by_site.values())
+
+    hub = Hub()
+    server = HubServer(("127.0.0.1", 0), hub)
+    server.serve_in_background()
+    try:
+        port = server.server_address[1]
+        errors: list[BaseException] = []
+
+        def pump(envelopes: list[Envelope]) -> None:
+            try:
+                with TcpClient("127.0.0.1", port) as tcp:
+                    # resubmit everything twice: duplicates must be harmless
+                    submit_batch(tcp, envelopes, sleep=lambda _: None)
+                    submit_batch(tcp, envelopes, sleep=lambda _: None)
+            except BaseException as err:
+                errors.append(err)
+
+        threads = [threading.Thread(target=pump, args=(v,))
+                   for v in by_site.values()]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if errors:
+            raise ScenarioError(f"stress ingest failed: {errors[0]}")
+    finally:
+        server.shutdown()
+        server.server_close()
+    return hub, expected
 
 
 class TestStressIngest:

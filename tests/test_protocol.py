@@ -1,8 +1,9 @@
-"""Envelope framing, idempotent ingestion, retries, TCP and spool paths."""
+"""Envelope framing, idempotent ingestion, retries and the TCP path."""
 
 import dataclasses
 import gc
 import json
+import socket
 import threading
 import tracemalloc
 from datetime import datetime, timezone
@@ -10,7 +11,7 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from labelloop.canon import canonical_encode, digest_text
+from labelloop.canon import canonical_decode, canonical_encode, digest_text
 from labelloop.feedback import AlgorithmOutput, Detection, ExecutionMode
 from labelloop.harness import make_scenario, run_scenario
 from labelloop.model import FindingCode, box, point
@@ -18,7 +19,7 @@ from labelloop.protocol import (
     Ack, AckStatus, DeliveryError, Envelope, EnvelopeKind, FrameError, Hub,
     HubServer, InProcessClient, IntegrityError, TcpClient, TransientStoreError,
     VersionError, decode_envelope, encode_envelope, envelope_from_line,
-    envelope_to_line, make_envelope, submit_batch, write_spool,
+    _read_frame, envelope_to_line, make_envelope, submit_batch,
 )
 from labelloop.reports import ExtractedLabel, LabelSet, LabelStrength, Polarity
 
@@ -323,16 +324,24 @@ def test_tcp_transient_failure_retried():
         server.server_close()
 
 
-def test_spool_mode(tmp_path):
+def test_tcp_frame_not_utf8_is_rejected_and_the_connection_serves_on():
     hub = Hub()
-    envs = [env_of(labelset(f"R{i}")) for i in range(3)] + [env_of(labelset("R0"))]
-    write_spool(tmp_path, "siteA", envs)
-    acks = hub.process_spool(tmp_path)
-    statuses = [a.status for a in acks]
-    assert statuses == [AckStatus.ACCEPTED] * 3 + [AckStatus.DUPLICATE]
-    sidecar = tmp_path / "siteA.acks.jsonl"
-    assert sidecar.exists()
-    assert len(sidecar.read_text().splitlines()) == 4
+    server = HubServer(("127.0.0.1", 0), hub)
+    server.serve_in_background()
+    try:
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            body = b'{"envelope_id":"\xff"}'
+            sock.sendall(len(body).to_bytes(4, "big") + body)
+            ack = canonical_decode(_read_frame(sock)[4:].decode("utf-8"), Ack)
+            assert ack.status is AckStatus.REJECTED
+            assert ack.reason.startswith("frame body is not UTF-8")
+            sock.sendall(encode_envelope(env_of()))
+            ack = canonical_decode(_read_frame(sock)[4:].decode("utf-8"), Ack)
+            assert ack.status is AckStatus.ACCEPTED
+        assert hub.stored_count() == 1
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 uids = st.from_regex(r"[A-Za-z0-9._-]{1,12}", fullmatch=True)

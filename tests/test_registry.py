@@ -1,14 +1,18 @@
 import random
+import tempfile
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from conftest import golden_text
+from hypothesis import given, settings, strategies as st
 
 from labelloop.canon import canonical_decode, canonical_encode, digest_text
 from labelloop.registry import (
     AuditAction,
     AuditEntry,
+    ChainDecodeError,
     ChainHead,
     ConflictError,
     DeploymentAssignment,
@@ -52,7 +56,7 @@ class TestLifecycle:
     def test_register_stores_candidate(self):
         reg = Registry(now=lambda: T0)
         reg.register_version(record())
-        assert reg.get_model("cad-lung", "1.0").status is ModelStatus.CANDIDATE
+        assert reg.models["cad-lung", "1.0"].status is ModelStatus.CANDIDATE
 
     def test_register_duplicate_conflicts_without_audit(self):
         reg = Registry(now=lambda: T0)
@@ -66,7 +70,7 @@ class TestLifecycle:
         reg = Registry(now=lambda: T0)
         rec = record()
         reg.register_version(rec)
-        assert reg.get_model("cad-lung", "1.0") == rec
+        assert reg.models["cad-lung", "1.0"] == rec
 
     def test_non_candidate_registration_rejected(self):
         reg = Registry(now=lambda: T0)
@@ -75,7 +79,7 @@ class TestLifecycle:
 
     def test_legal_transition_path(self):
         reg = deployed_registry()
-        assert reg.get_model("cad-lung", "1.0").status is ModelStatus.DEPLOYED
+        assert reg.models["cad-lung", "1.0"].status is ModelStatus.DEPLOYED
         reg.set_status("cad-lung", "1.0", ModelStatus.SUSPENDED)
         reg.set_status("cad-lung", "1.0", ModelStatus.DEPLOYED)
 
@@ -290,11 +294,16 @@ class TestPersistence:
         reg.append_audit(AuditAction.INGEST_SUMMARY, "hub",
                          digest_text("summary"), at=T0)
         reg.save(tmp_path)
-        loaded = Registry.load(tmp_path)
-        assert loaded.models == reg.models
-        assert loaded.assignments == reg.assignments
-        assert loaded.audit == reg.audit
-        assert loaded.verify() is None
+
+        def stored(name, cls):
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            return [canonical_decode(line, cls) for line in text.splitlines()]
+        assert stored(Registry.MODELS_LOG, ModelRecord) == sorted(
+            reg.models.values(), key=lambda m: (m.algorithm_id, m.version))
+        assert stored(Registry.ASSIGNMENTS_LOG, DeploymentAssignment) == reg.assignments
+        entries, head = Registry.load_chain(tmp_path)
+        assert entries == reg.audit and head == reg.head()
+        assert verify_audit_chain(entries, head) is None
 
     def test_load_chain_with_head(self, tmp_path):
         reg = deployed_registry()
@@ -311,6 +320,45 @@ class TestPersistence:
         log.write_text("\n".join(lines[:-1]) + "\n")
         entries, head = Registry.load_chain(tmp_path)
         assert verify_audit_chain(entries, head) == len(lines)
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_byte_not_utf8_breaks_the_chain_at_its_line(self, tmp_path, line):
+        deployed_registry().save(tmp_path)
+        log = tmp_path / Registry.AUDIT_LOG
+        data = bytearray(log.read_bytes())
+        start = sum(len(l) + 1 for l in data.split(b"\n")[:line - 1])
+        data[start + 20] = 0xFF
+        log.write_bytes(bytes(data))
+        with pytest.raises(ChainDecodeError) as exc:
+            Registry.load_chain(tmp_path)
+        assert exc.value.seq == line
+
+    def test_byte_not_utf8_in_the_head_breaks_at_the_last_seq(self, tmp_path):
+        deployed_registry().save(tmp_path)
+        head = tmp_path / Registry.AUDIT_HEAD
+        data = bytearray(head.read_bytes())
+        data[5] = 0xFF
+        head.write_bytes(bytes(data))
+        with pytest.raises(ChainDecodeError) as exc:
+            Registry.load_chain(tmp_path)
+        assert exc.value.seq == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_edited_byte_gives_a_chain_or_a_decode_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            deployed_registry().save(directory)
+            log = directory / Registry.AUDIT_LOG
+            raw = bytearray(log.read_bytes())
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+            log.write_bytes(bytes(raw))
+            try:
+                entries, head = Registry.load_chain(directory)
+            except ChainDecodeError as err:
+                assert 1 <= err.seq <= 4
+            else:
+                verify_audit_chain(entries, head)
 
     def test_audit_entries_round_trip_canonically(self):
         entries, _ = chain_of(3)

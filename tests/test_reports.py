@@ -1,5 +1,6 @@
 """Anchor grammar, sentence binding, polarity, and label extraction."""
 
+import dataclasses
 from datetime import date, datetime, timezone
 
 import pytest
@@ -11,8 +12,7 @@ from labelloop.model import (
 from labelloop.reports import (
     Diagnostic, DiagnosticKind, ExtractedLabel, InteractiveReport,
     LabelStrength, ParseError, Polarity, ReferentialError, bind_anchors,
-    extract_labels, format_anchor, parse_body, parse_report,
-    render_corpus_file,
+    extract_labels, format_anchor, parse_body,
 )
 
 WHEN = datetime(2024, 3, 1, 9, 30, tzinfo=timezone.utc)
@@ -201,18 +201,10 @@ def test_body_preserved_verbatim():
     assert parsed.report.body == body
 
 
-def test_corpus_file_round_trip():
-    body = "There is a nodule {{link|image=IMG1|frame=1|region=1,1,9,9|meas=7mm}}."
-    rep = report_of(body)
-    raw = render_corpus_file(rep)
-    parsed = parse_report(raw, study_with_images())
-    assert parsed.report == rep
-
-
 def test_corpus_header_must_match_study():
-    raw = "R1\tWRONG\trad1\t2024-03-01T09:30:00Z\nBody here."
-    with pytest.raises(ReferentialError):
-        parse_report(raw, study_with_images())
+    report = dataclasses.replace(report_of("Body here."), study_uid="WRONG")
+    with pytest.raises(ReferentialError, match="WRONG"):
+        parse_body(report, study_with_images())
 
 
 def test_extraction_deterministic():
