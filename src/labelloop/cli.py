@@ -25,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from .canon import CanonError
+from .canon import CanonError, write_lines
 from .harness import load_scenario, run_scenario, validate_scenario
 from .monitoring import MonitorConfig
 from .protocol import Hub, HubServer, write_spool
@@ -247,10 +247,7 @@ def cmd_report(bundle_dir: str, out=None, err=None) -> ExitCode:
               file=out)
 
     try:
-        with open(bundle / "summary.csv", "w", encoding="utf-8",
-                  newline="\n") as f:
-            for row in rows:
-                f.write(",".join(row) + "\n")
+        write_lines(bundle / "summary.csv", (",".join(row) for row in rows))
     except OSError as e:
         print(f"cannot write summary.csv: {e}", file=err)
         return ExitCode.TRANSIENT_IO

@@ -664,9 +664,7 @@ class _Run:
 
     def __init__(self, cfg: ScenarioConfig, monitor_config: MonitorConfig):
         self.cfg = cfg
-        # ALERT audit entries read this clock; capturing self would make a cycle
-        self.clock = clock = {"now": T0}
-        self.registry = registry = Registry(now=lambda: clock["now"])
+        self.registry = registry = Registry()
         self.hub = Hub()
         self.client = InProcessClient(self.hub)
         self.engine = MonitoringEngine(monitor_config)
@@ -740,7 +738,7 @@ class _Run:
     def generate(self, s: _Study) -> None:
         s.study, s.truth = generate_case(self.rngs[s.sid, "case"],
                                          s.state.case_mix, s.state)
-        self.clock["now"] = s.at = s.study.acquired_at + timedelta(seconds=5400)
+        s.at = s.study.acquired_at + timedelta(seconds=5400)
         self.phi_tokens.extend(s.study.identity.phi_tokens)
 
     def report(self, s: _Study) -> None:
@@ -808,9 +806,9 @@ class _Run:
                 self._send(note.recipient, EnvelopeKind.ALERT_ACK,
                            AlertAck(alert.alert_id, note.recipient, s.at), s.at)
 
-    def result(self) -> ScenarioResult:
+    def result(self, last: _Study) -> ScenarioResult:
         cfg, registry = self.cfg, self.registry
-        end = self.clock["now"] + timedelta(seconds=60)
+        end = last.at + timedelta(seconds=60)
         for sid, counts in self.counts.items():
             registry.append_audit(AuditAction.INGEST_SUMMARY, "hub",
                                   canonical_digest(IngestSummary(sid, **counts)),
@@ -852,7 +850,7 @@ def run_scenario(cfg: ScenarioConfig,
                 except Exception as err:
                     raise ScenarioError(f"site {study.sid} study {index} "
                                         f"stage {name}: {err}") from err
-    return run.result()
+    return run.result(study)
 
 
 def _delay_rows(engine, alerts, change_points, external_changes):

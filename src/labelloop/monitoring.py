@@ -47,7 +47,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import Iterable
 
-from .canon import canonical_encode, digest_text
+from .canon import canonical_digest, digest_text
 from .feedback import InputError, StudyAgreement
 from .model import FindingCode
 
@@ -295,7 +295,7 @@ def propagate_alert(alert: Alert, registry,
     else:
         sites = registry.list_sites_running(alert.algorithm_id, alert.version)
     recipients = sorted(sites) + [DEVELOPER_CHANNEL]
-    registry.append_audit("ALERT", "monitoring", digest_text(canonical_encode(alert)))
+    registry.append_audit("ALERT", "monitoring", canonical_digest(alert), at=delivered_at)
     return [Notification(alert.alert_id, r, delivered_at) for r in recipients]
 
 

@@ -1,15 +1,18 @@
 """Site-to-hub wire contract: typed envelopes, idempotent ingestion, retries.
 
-Transport framing is a 4-byte big-endian length followed by one UTF-8 JSON
-body (the envelope's canonical line); client and server read frames through
-one reader. The same line, unframed, is what spool files (`*.env.jsonl`)
-carry, one envelope per line, when ``labelloop hub --spool`` keeps the
-accepted envelopes.
+Transport framing is a 4-byte big-endian length, at most
+``MAX_FRAME_BYTES``, followed by one UTF-8 JSON body (the envelope's
+canonical line); client and server read frames through one reader. The same
+line, unframed, is what spool files (`*.env.jsonl`) carry, one envelope per
+line, when ``labelloop hub --spool`` keeps the accepted envelopes.
 
 Ingestion semantics per idempotency_key:
     first presentation             -> ACCEPTED, payload persisted
     re-presentation, same digest   -> DUPLICATE, no second write
     re-presentation, new digest    -> REJECTED "idempotency conflict"
+Every other fault in a frame or an envelope (size, version, digest, payload
+shape or content) is answered by a REJECTED ack that names it; ``Hub.ingest``
+raises only ``TransientStoreError``, which the client retries.
 Records are evidence; corrections must arrive under a new uid, never as an
 overwrite. The ACCEPTED/DUPLICATE decision is linearizable (single winner
 under a lock), so any number of concurrent submitters stores exactly one copy.
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .canon import CanonError, canonical_decode, canonical_encode, digest_text
 from .feedback import AlgorithmOutput
@@ -36,8 +39,8 @@ from .reports import (
 )
 
 __all__ = [
-    "SCHEMA_VERSION", "EnvelopeKind", "AckStatus", "Envelope", "Ack",
-    "AlertAck", "FrameError", "IntegrityError", "VersionError",
+    "SCHEMA_VERSION", "MAX_FRAME_BYTES", "EnvelopeKind", "AckStatus", "Envelope",
+    "Ack", "AlertAck", "FrameError", "IntegrityError", "VersionError",
     "TransientStoreError", "DeliveryError", "make_envelope", "encode_envelope",
     "decode_envelope", "envelope_to_line", "envelope_from_line", "Hub",
     "submit_batch", "InProcessClient", "TcpClient", "HubServer",
@@ -45,6 +48,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+MAX_FRAME_BYTES = 1 << 20
 RETRY_BASE_SECONDS = 0.1
 RETRY_FACTOR = 2
 RETRY_MAX_ATTEMPTS = 5
@@ -92,14 +96,14 @@ class AlertAck:
 
 
 class FrameError(ValueError):
+    """An input fault in a frame or an envelope; the hub answers it REJECTED."""
+
+
+class IntegrityError(FrameError):
     pass
 
 
-class IntegrityError(ValueError):
-    pass
-
-
-class VersionError(ValueError):
+class VersionError(FrameError):
     pass
 
 
@@ -113,32 +117,11 @@ class DeliveryError(RuntimeError):
         self.undelivered = undelivered
 
 
-_PAYLOAD_TYPES = {
-    EnvelopeKind.STUDY: StudyRecord,
-    EnvelopeKind.REPORT: InteractiveReport,
-    EnvelopeKind.LABELSET: LabelSet,
-    EnvelopeKind.ALG_OUTPUT: AlgorithmOutput,
-    EnvelopeKind.ALERT_ACK: AlertAck,
-}
-
-
-def primary_uid(kind: EnvelopeKind, record) -> str:
-    if kind is EnvelopeKind.STUDY:
-        return record.study_uid
-    if kind in (EnvelopeKind.REPORT, EnvelopeKind.LABELSET):
-        return record.report_uid
-    if kind is EnvelopeKind.ALG_OUTPUT:
-        # executed mode is part of the identity: dual execution (LOCAL and
-        # CENTRAL) must land under distinct keys, flagged downstream
-        return f"{record.study_uid}:{record.algorithm_id}:{record.version}:{record.executed.name}"
-    return f"{record.alert_id}:{record.site_id}"
-
-
 def make_envelope(site_id: str, kind: EnvelopeKind, record,
                   created_at: datetime) -> Envelope:
     payload = canonical_encode(record)
     digest = digest_text(payload)
-    key = f"{site_id}/{kind.name}/{primary_uid(kind, record)}"
+    key = f"{site_id}/{kind.name}/{_KINDS[kind].uid(record)}"
     return Envelope(
         envelope_id=digest_text(key + "|" + digest)[:16],
         site_id=site_id,
@@ -151,9 +134,15 @@ def make_envelope(site_id: str, kind: EnvelopeKind, record,
     )
 
 
-def envelope_to_line(e: Envelope) -> str:
+def _check_envelope(e: Envelope) -> None:
+    if e.schema_version != SCHEMA_VERSION:
+        raise VersionError(f"unsupported schema_version {e.schema_version}")
     if digest_text(e.payload) != e.payload_digest:
-        raise IntegrityError("payload_digest does not match payload")
+        raise IntegrityError("payload digest mismatch")
+
+
+def envelope_to_line(e: Envelope) -> str:
+    _check_envelope(e)
     return canonical_encode(e)
 
 
@@ -162,10 +151,7 @@ def envelope_from_line(line: str) -> Envelope:
         e = canonical_decode(line, Envelope)
     except CanonError as err:
         raise FrameError(str(err)) from None
-    if e.schema_version != SCHEMA_VERSION:
-        raise VersionError(f"unsupported schema_version {e.schema_version}")
-    if digest_text(e.payload) != e.payload_digest:
-        raise IntegrityError("payload digest mismatch")
+    _check_envelope(e)
     return e
 
 
@@ -226,16 +212,27 @@ def _validate_report(rep: InteractiveReport) -> list[str]:
     return []
 
 
-def validate_payload(kind: EnvelopeKind, record) -> list[str]:
-    if kind is EnvelopeKind.STUDY:
-        return validate_study(record)
-    if kind is EnvelopeKind.REPORT:
-        return _validate_report(record)
-    if kind is EnvelopeKind.LABELSET:
-        return _validate_labelset(record)
-    if kind is EnvelopeKind.ALG_OUTPUT:
-        return _validate_alg_output(record)
-    return []
+class _Kind(NamedTuple):
+    payload: type
+    uid: Callable[[object], str]  # the record's part of the idempotency key
+    validate: Callable[[object], list[str]]
+
+
+# validate_study is looked up per call, so that a patched module binding is used
+_KINDS = {
+    EnvelopeKind.STUDY: _Kind(StudyRecord, lambda r: r.study_uid,
+                              lambda r: validate_study(r)),
+    EnvelopeKind.REPORT: _Kind(InteractiveReport, lambda r: r.report_uid, _validate_report),
+    EnvelopeKind.LABELSET: _Kind(LabelSet, lambda r: r.report_uid, _validate_labelset),
+    # executed mode is part of the identity: dual execution (LOCAL and
+    # CENTRAL) must land under distinct keys, flagged downstream
+    EnvelopeKind.ALG_OUTPUT: _Kind(
+        AlgorithmOutput,
+        lambda r: f"{r.study_uid}:{r.algorithm_id}:{r.version}:{r.executed.name}",
+        _validate_alg_output),
+    EnvelopeKind.ALERT_ACK: _Kind(AlertAck, lambda r: f"{r.alert_id}:{r.site_id}",
+                                  lambda r: []),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,8 @@ class Hub:
     """Idempotent envelope store with an at-ingest validation gate. It keeps
     one envelope per idempotency key; ``on_accept`` subscribers get the
     decoded record after the store, outside the key lock, and the hub then
-    drops it. Only ``labelloop hub --spool`` subscribes, to spool envelopes."""
+    drops it; a subscriber's own error propagates. Only ``labelloop hub
+    --spool`` subscribes, to spool envelopes."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -262,15 +260,14 @@ class Hub:
             self._fail_budget = n
 
     def ingest(self, e: Envelope) -> Ack:
-        if e.schema_version != SCHEMA_VERSION:
-            raise VersionError(f"unsupported schema_version {e.schema_version}")
-        if digest_text(e.payload) != e.payload_digest:
-            raise IntegrityError("payload digest mismatch")
         try:
-            record = canonical_decode(e.payload, _PAYLOAD_TYPES[e.kind])
+            _check_envelope(e)
+            record = canonical_decode(e.payload, _KINDS[e.kind].payload)
+        except FrameError as err:
+            return Ack(e.envelope_id, AckStatus.REJECTED, str(err))
         except CanonError as err:
             return Ack(e.envelope_id, AckStatus.REJECTED, f"undecodable payload: {err}")
-        problems = validate_payload(e.kind, record)
+        problems = _KINDS[e.kind].validate(record)
         if problems:
             return Ack(e.envelope_id, AckStatus.REJECTED, "; ".join(problems))
         with self._lock:
@@ -299,7 +296,7 @@ class Hub:
         oracle reads the hub's labels and outputs through it."""
         with self._lock:
             payloads = [e.payload for e in self._envelopes.values() if e.kind is kind]
-        return [canonical_decode(p, _PAYLOAD_TYPES[kind]) for p in payloads]
+        return [canonical_decode(p, _KINDS[kind].payload) for p in payloads]
 
     def envelopes(self) -> list[Envelope]:
         with self._lock:
@@ -359,9 +356,13 @@ class TcpClient:
 
 
 def _read_frame(sock: socket.socket) -> bytes:
-    """One frame, length prefix included; ``OSError`` if the peer closes."""
+    """One frame, length prefix included; ``ConnectionError`` if the peer
+    closes, ``FrameError`` unread if it declares over ``MAX_FRAME_BYTES``."""
     header = _read_exact(sock, 4)
-    return header + _read_exact(sock, int.from_bytes(header, "big"))
+    n = int.from_bytes(header, "big")
+    if n > MAX_FRAME_BYTES:
+        raise FrameError(f"frame length {n} exceeds the {MAX_FRAME_BYTES}-byte limit")
+    return header + _read_exact(sock, n)
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:
@@ -369,7 +370,7 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     while len(buf) < n:
         chunk = sock.recv(n - len(buf))
         if not chunk:
-            raise OSError("connection closed mid-frame")
+            raise ConnectionError("connection closed mid-frame")
         buf += chunk
     return buf
 
@@ -400,22 +401,20 @@ def submit_batch(client, envelopes: list[Envelope],
 
 class _HubHandler(socketserver.BaseRequestHandler):
     def handle(self):
-        sock = self.request
+        sock = self.request  # socketserver closes it when handle returns
         while True:
+            frame = None
             try:
                 frame = _read_frame(sock)
-            except OSError:
-                return
-            try:
                 ack = self.server.hub.ingest(decode_envelope(frame))
-            except TransientStoreError:
-                # no ack at all: the dropped connection tells the client to retry
-                sock.close()
-                return
-            except (FrameError, IntegrityError, VersionError) as err:
+            except (ConnectionError, TransientStoreError):
+                return  # a closed peer, or no ack: the client retries on a new one
+            except FrameError as err:
                 ack = Ack("", AckStatus.REJECTED, str(err))
             out = canonical_encode(ack).encode("utf-8")
             sock.sendall(len(out).to_bytes(4, "big") + out)
+            if frame is None:
+                return  # the body of an oversized frame was never read
 
 
 class HubServer(socketserver.ThreadingTCPServer):

@@ -284,21 +284,21 @@ class Registry:
     @staticmethod
     def load_chain(path: str | Path) -> tuple[list[AuditEntry], ChainHead | None]:
         """Read an audit chain, unverified, from an ``audit.log`` path or a
-        directory holding one. The head comes from ``audit.head`` beside the
-        log; a missing head file means no head. An undecodable log line raises
-        ``ChainDecodeError`` with its 1-based seq, an undecodable head one with
-        seq ``max(1, len(entries))``; read failures raise ``OSError``."""
+        directory holding one, and its head from ``audit.head`` beside it. An
+        undecodable log line raises ``ChainDecodeError`` with its 1-based seq;
+        a missing or undecodable head, with seq ``max(1, len(entries))``, since
+        ``save`` always writes one. Other read failures raise ``OSError``."""
         path = Path(path)
         if path.is_dir():
             path = path / Registry.AUDIT_LOG
         entries = [_decode_stored(line, AuditEntry, seq)
                    for seq, line in enumerate(_read_lines(path), 1)]
+        last = max(1, len(entries))
         try:
             head_lines = _read_lines(path.parent / Registry.AUDIT_HEAD)
-        except FileNotFoundError:
-            head_lines = []
-        head = (_decode_stored(head_lines[0], ChainHead, max(1, len(entries)))
-                if head_lines else None)
+        except FileNotFoundError as err:
+            raise ChainDecodeError(last, f"no head: {err}") from err
+        head = _decode_stored(head_lines[0], ChainHead, last) if head_lines else None
         return entries, head
 
 

@@ -15,6 +15,7 @@ unknown rather than as a negative.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -64,10 +65,10 @@ NEGATION_CUES = ("no", "without", "negative for", "resolved", "absent")
 _ANCHOR_RE = re.compile(
     r"\{\{link"
     r"\|image=(?P<image>[A-Za-z0-9._:-]+)"
-    r"\|frame=(?P<frame>\d+)"
-    r"\|(?:region=(?P<bx0>\d+),(?P<by0>\d+),(?P<bx1>\d+),(?P<by1>\d+)"
-    r"|point=(?P<px>\d+),(?P<py>\d+))"
-    r"(?:\|meas=(?P<meas>\d+(?:\.\d+)?)(?P<unit>mm|cm))?"
+    r"\|frame=(?P<frame>[0-9]+)"
+    r"\|(?:region=(?P<bx0>[0-9]+),(?P<by0>[0-9]+),(?P<bx1>[0-9]+),(?P<by1>[0-9]+)"
+    r"|point=(?P<px>[0-9]+),(?P<py>[0-9]+))"
+    r"(?:\|meas=(?P<meas>[0-9]+(?:\.[0-9]+)?)(?P<unit>mm|cm))?"
     r"\}\}"
 )
 _SENTENCE_END_RE = re.compile(r"[.!?](?=\s|$)")
@@ -173,21 +174,22 @@ def _scan_anchors(body: str) -> list[HyperlinkAnchor]:
         m = _ANCHOR_RE.match(body, start)
         if m is None:
             raise ParseError("malformed anchor", start)
-        if m.group("bx0") is not None:
-            region = box(int(m.group("bx0")), int(m.group("by0")),
-                         int(m.group("bx1")), int(m.group("by1")))
-        else:
-            region = point(int(m.group("px")), int(m.group("py")))
-        meas = None
-        if m.group("meas") is not None:
-            meas = Measurement(float(m.group("meas")), Unit[m.group("unit")])
-        anchors.append(HyperlinkAnchor(
-            image_uid=m.group("image"),
-            frame=int(m.group("frame")),
-            region=region,
-            measurement=meas,
-            char_span=(start, m.end()),
-        ))
+        try:
+            frame = int(m.group("frame"))
+            if m.group("bx0") is not None:
+                region = box(int(m.group("bx0")), int(m.group("by0")),
+                             int(m.group("bx1")), int(m.group("by1")))
+            else:
+                region = point(int(m.group("px")), int(m.group("py")))
+            meas = None
+            if m.group("meas") is not None:
+                meas = Measurement(float(m.group("meas")), Unit[m.group("unit")])
+        except ValueError:  # int() refuses a digit run past CPython's limit
+            raise ParseError("anchor number out of range", start) from None
+        if meas is not None and not math.isfinite(meas.value):
+            raise ParseError("anchor measurement out of range", start)
+        anchors.append(HyperlinkAnchor(m.group("image"), frame, region, meas,
+                                       char_span=(start, m.end())))
         pos = m.end()
     return anchors
 

@@ -197,6 +197,14 @@ class TestVerifyAudit:
         assert cmd_verify_audit(str(path)) is ExitCode.AUDIT_BROKEN
         assert capsys.readouterr().out == "broken at seq 4\n"
 
+    def test_truncation_with_the_head_deleted_is_still_broken(self, tmp_path, capsys):
+        path = audit_dir(tmp_path, n=5)
+        log = path / "audit.log"
+        log.write_text("\n".join(log.read_text().splitlines()[:2]) + "\n")
+        (path / "audit.head").unlink()
+        assert cmd_verify_audit(str(path)) is ExitCode.AUDIT_BROKEN
+        assert capsys.readouterr().out == "broken at seq 2\n"
+
     @pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
     def test_line_separator_inside_a_field_is_not_a_line_break(
             self, tmp_path, capsys, separator):

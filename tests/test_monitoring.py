@@ -1,5 +1,5 @@
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +23,7 @@ from labelloop.monitoring import (
     propagate_alert,
     replay_events,
 )
+from labelloop.registry import Registry
 
 AT = datetime(2024, 3, 1, tzinfo=timezone.utc)
 
@@ -311,7 +312,7 @@ class FakeRegistry:
     def list_sites_running(self, algorithm_id, version):
         return set(self.sites)
 
-    def append_audit(self, action, actor, payload_digest):
+    def append_audit(self, action, actor, payload_digest, at=None):
         self.audits.append((action, actor, payload_digest))
 
 
@@ -334,6 +335,13 @@ class TestPropagation:
         assert all(n.alert_id == notes[0].alert_id for n in notes)
         assert len(registry.audits) == 1
         assert registry.audits[0][0] == "ALERT"
+
+    def test_alert_audit_entry_carries_the_delivery_time(self):
+        # the registry's own clock is not the alert's time
+        registry = Registry(now=lambda: datetime(2000, 1, 1, tzinfo=timezone.utc))
+        delivered_at = AT + timedelta(hours=1)
+        propagate_alert(make_alert(), registry, delivered_at)
+        assert [e.timestamp for e in registry.audit] == [delivered_at]
 
     def test_external_drift_targets_origin_site_only(self):
         registry = FakeRegistry({"siteB", "siteC"})

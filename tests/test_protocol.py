@@ -1,11 +1,13 @@
 """Envelope framing, idempotent ingestion, retries and the TCP path."""
 
 import dataclasses
+import functools
 import gc
 import json
 import socket
 import threading
 import tracemalloc
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import pytest
@@ -16,12 +18,15 @@ from labelloop.feedback import AlgorithmOutput, Detection, ExecutionMode
 from labelloop.harness import make_scenario, run_scenario
 from labelloop.model import FindingCode, box, point
 from labelloop.protocol import (
-    Ack, AckStatus, DeliveryError, Envelope, EnvelopeKind, FrameError, Hub,
-    HubServer, InProcessClient, IntegrityError, TcpClient, TransientStoreError,
-    VersionError, decode_envelope, encode_envelope, envelope_from_line,
-    _read_frame, envelope_to_line, make_envelope, submit_batch,
+    MAX_FRAME_BYTES, Ack, AckStatus, AlertAck, DeliveryError, Envelope,
+    EnvelopeKind, FrameError, Hub, HubServer, InProcessClient, IntegrityError,
+    TcpClient, TransientStoreError, VersionError, decode_envelope,
+    encode_envelope, envelope_from_line, _read_frame, envelope_to_line,
+    make_envelope, submit_batch,
 )
-from labelloop.reports import ExtractedLabel, LabelSet, LabelStrength, Polarity
+from labelloop.reports import (
+    ExtractedLabel, InteractiveReport, LabelSet, LabelStrength, Polarity,
+)
 
 NOW = datetime(2024, 2, 2, 8, 0, tzinfo=timezone.utc)
 
@@ -356,3 +361,169 @@ def test_decode_encode_identity_property(site, report, study, n, kind):
     back = decode_envelope(frame)
     assert back == e
     assert encode_envelope(back) == frame
+
+
+# ---------------------------------------------------------------------------
+# one contract: every input fault is a REJECTED ack; only TransientStoreError raises
+
+
+@contextmanager
+def served(hub: Hub):
+    server = HubServer(("127.0.0.1", 0), hub)
+    server.serve_in_background()
+    try:
+        yield server.server_address
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_ingest_rejects_an_unknown_schema_version():
+    e = dataclasses.replace(env_of(), schema_version=2)
+    hub = Hub()
+    assert hub.ingest(e) == Ack(e.envelope_id, AckStatus.REJECTED,
+                                "unsupported schema_version 2")
+    assert hub.stored_count() == 0
+
+
+def test_ingest_rejects_a_digest_mismatch():
+    e = dataclasses.replace(env_of(), payload_digest=digest_text("another payload"))
+    hub = Hub()
+    assert hub.ingest(e) == Ack(e.envelope_id, AckStatus.REJECTED,
+                                "payload digest mismatch")
+    assert hub.stored_count() == 0
+    # the encoder and the decoder give the same message
+    with pytest.raises(IntegrityError, match="^payload digest mismatch$"):
+        envelope_to_line(e)
+
+
+def report_with(anchor: str) -> InteractiveReport:
+    return InteractiveReport("R1", "S1", f"Nodule {anchor}.", NOW, "A1")
+
+
+ANCHOR_FAULTS = {
+    # int() refuses a digit run past CPython's 4,300-digit limit
+    "frame-past-int-digit-limit": (
+        "{{link|image=IMG1|frame=" + "1" * 5000 + "|region=0,0,9,9}}",
+        "anchor number out of range at offset 7"),
+    # \d would match these, giving a second wire form of frame 12
+    "frame-in-arabic-indic-digits": (
+        "{{link|image=IMG1|frame=١٢|region=0,0,9,9}}",
+        "malformed anchor at offset 7"),
+    # parses to inf, which format_anchor refuses to write
+    "meas-overflows-float": (
+        "{{link|image=IMG1|frame=2|region=0,0,9,9|meas=" + "9" * 400 + "mm}}",
+        "anchor measurement out of range at offset 7"),
+}
+
+
+@pytest.mark.parametrize("anchor, reason", ANCHOR_FAULTS.values(), ids=ANCHOR_FAULTS)
+def test_anchor_number_without_a_canonical_form_is_rejected(anchor, reason):
+    e = make_envelope("siteA", EnvelopeKind.REPORT, report_with(anchor), NOW)
+    hub = Hub()
+    assert hub.ingest(e) == Ack(e.envelope_id, AckStatus.REJECTED, reason)
+    assert hub.stored_count() == 0
+
+
+def test_tcp_anchor_past_the_digit_limit_gets_one_rejected_ack():
+    anchor, reason = ANCHOR_FAULTS["frame-past-int-digit-limit"]
+    e = make_envelope("siteA", EnvelopeKind.REPORT, report_with(anchor), NOW)
+    sleeps = []
+    with served(Hub()) as (host, port), TcpClient(host, port) as client:
+        acks = submit_batch(client, [e], sleep=sleeps.append)
+    assert acks == [Ack(e.envelope_id, AckStatus.REJECTED, reason)]
+    assert sleeps == []  # no dropped connection, so no retry
+
+
+def test_tcp_oversized_frame_is_rejected_unread_and_closed():
+    n = MAX_FRAME_BYTES + 1
+    with served(Hub()) as addr, socket.create_connection(addr, timeout=2) as sock:
+        sock.sendall(n.to_bytes(4, "big"))  # and no body
+        ack = canonical_decode(_read_frame(sock)[4:].decode("utf-8"), Ack)
+        assert ack.status is AckStatus.REJECTED
+        assert f"frame length {n} exceeds" in ack.reason
+        assert sock.recv(1) == b""  # the hub closed the connection
+
+
+@functools.lru_cache(maxsize=1)
+def real_envelopes() -> tuple[Envelope, ...]:
+    """One real envelope of each kind."""
+    cfg = make_scenario(seed=7, n_sites=1, n_studies=3, drift=False)
+    firsts = {}
+    for e in run_scenario(cfg).hub.envelopes():
+        firsts.setdefault(e.kind, e)
+    firsts[EnvelopeKind.ALERT_ACK] = make_envelope(
+        "siteA", EnvelopeKind.ALERT_ACK, AlertAck("AL1", "siteA", NOW), NOW)
+    assert set(firsts) == set(EnvelopeKind)
+    return tuple(firsts.values())
+
+
+anchors = st.builds(
+    lambda frame, meas: f"see {{{{link|image=IMG1|frame={frame}|point=3,4{meas}}}}}",
+    st.text("0123456789١٢", min_size=1, max_size=6) | st.just("1" * 5000),
+    st.sampled_from(["", "|meas=5.2mm", "|meas=" + "9" * 400 + "cm"]))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False,
+                                                          allow_infinity=False)
+    | st.text(max_size=12) | anchors,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=8),
+                                                              kids, max_size=3),
+    max_leaves=6)
+
+
+def json_paths(obj, path=()):
+    yield path
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        children = ()
+    for key, value in children:
+        yield from json_paths(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, payload: str) -> str:
+    if draw(st.booleans()):  # splice text, or an anchor, anywhere
+        i = draw(st.integers(0, len(payload)))
+        j = draw(st.integers(i, min(len(payload), i + 20)))
+        return payload[:i] + draw(st.text(max_size=12) | anchors) + payload[j:]
+    obj = json.loads(payload)  # replace one node of the JSON tree
+    path = draw(st.sampled_from(list(json_paths(obj))))
+    value = draw(json_values)
+    if not path:
+        return json.dumps(value)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+@pytest.mark.parametrize("kind", EnvelopeKind, ids=lambda kind: kind.name)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_payload_under_its_own_digest_gets_an_ack(kind, data):
+    [e] = [e for e in real_envelopes() if e.kind is kind]
+    hub = Hub()
+    ack = hub.ingest(_forged(e, data.draw(mutated(e.payload))))
+    assert isinstance(ack, Ack)
+    # whatever was accepted reads back
+    assert len(hub.records(e.kind)) == (ack.status is AckStatus.ACCEPTED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_bytes_decode_to_an_envelope_or_a_frame_error(data):
+    line = envelope_to_line(data.draw(st.sampled_from(real_envelopes()))).encode("utf-8")
+    i = data.draw(st.integers(0, len(line)))
+    body = data.draw(st.binary(max_size=64) | st.builds(
+        lambda junk, j: line[:i] + junk + line[j:],
+        st.binary(max_size=8), st.integers(i, min(len(line), i + 8))))
+    frame = len(body).to_bytes(4, "big") + body if data.draw(st.booleans()) else body
+    try:
+        e = decode_envelope(frame)
+    except FrameError:
+        return
+    assert isinstance(Hub().ingest(e), Ack)
