@@ -333,7 +333,9 @@ def _compile(hint: typing.Any) -> _Decoder:
     if hint is float:
         def decode_float(value):
             if isinstance(value, float):
-                return value
+                if math.isfinite(value):  # json.loads reads NaN, Infinity, 1e400
+                    return value
+                raise CanonError("non-finite float has no canonical form")
             if isinstance(value, int) and not isinstance(value, bool):
                 try:
                     return float(value)
@@ -423,4 +425,11 @@ def canonical_decode(line: str, cls: type) -> typing.Any:
         # JSONDecodeError, an integer past int's digit limit, or nesting
         # deeper than the interpreter's recursion limit
         raise CanonError(f"not a canonical record: {e}") from None
+    # only an escape can put a lone surrogate, which UTF-8 cannot hold, into
+    # text that was read as UTF-8
+    if "\\u" in line:
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise CanonError("lone surrogate escape has no UTF-8 form") from None
     return (_RECORD_DECODERS.get(cls) or _record_decoder(cls))(obj)

@@ -28,7 +28,7 @@ from pathlib import Path
 from .canon import CanonError, write_lines
 from .harness import load_scenario, run_scenario, validate_scenario
 from .monitoring import MonitorConfig
-from .protocol import Hub, HubServer, write_spool
+from .protocol import Hub, HubServer
 from .registry import ChainDecodeError, Registry, verify_audit_chain
 
 SEED_ENV_VAR = "LABELLOOP_SEED"
@@ -50,7 +50,7 @@ class ExitCode(enum.IntEnum):
 # simulate
 
 
-def _resolve_override(flag, env_name: str, parse, err):
+def _resolve_override(flag, env_name: str, parse):
     """flag > environment > None; a malformed env value is a config error."""
     if flag is not None:
         return flag, None
@@ -64,7 +64,7 @@ def _resolve_override(flag, env_name: str, parse, err):
 
 
 def cmd_simulate(scenario_path: str, out_dir: str, seed: int | None = None,
-                 cusum_h: float | None = None, out=None, err=None) -> ExitCode:
+                 cusum_h: float | None = None, err=None) -> ExitCode:
     err = err or sys.stderr
     try:
         cfg = load_scenario(scenario_path)
@@ -75,11 +75,11 @@ def cmd_simulate(scenario_path: str, out_dir: str, seed: int | None = None,
         print(f"scenario does not parse: {e}", file=err)
         return ExitCode.INVALID
 
-    seed, bad = _resolve_override(seed, SEED_ENV_VAR, int, err)
+    seed, bad = _resolve_override(seed, SEED_ENV_VAR, int)
     if bad:
         print(bad, file=err)
         return ExitCode.INVALID
-    cusum_h, bad = _resolve_override(cusum_h, CUSUM_H_ENV_VAR, float, err)
+    cusum_h, bad = _resolve_override(cusum_h, CUSUM_H_ENV_VAR, float)
     if bad:
         print(bad, file=err)
         return ExitCode.INVALID
@@ -130,7 +130,7 @@ def _parse_listen(listen: str) -> tuple[str, int] | None:
 
 
 def cmd_hub(listen: str, spool_dir: str | None = None, on_ready=None,
-            out=None, err=None) -> ExitCode:
+            err=None) -> ExitCode:
     """Host the ingest endpoint until interrupted.
 
     ``on_ready`` receives the bound server before serving starts; the
@@ -142,19 +142,14 @@ def cmd_hub(listen: str, spool_dir: str | None = None, on_ready=None,
         print(f"--listen must be ADDR:PORT, got {listen!r}", file=err)
         return ExitCode.INVALID
 
-    hub = Hub()
     if spool_dir is not None:
-        spool = Path(spool_dir)
         try:
-            spool.mkdir(parents=True, exist_ok=True)
+            Path(spool_dir).mkdir(parents=True, exist_ok=True)
         except OSError as e:
             print(f"cannot create spool dir: {e}", file=err)
             return ExitCode.TRANSIENT_IO
-        hub.on_accept.append(
-            lambda envelope, _record: write_spool(spool, envelope.site_id,
-                                                  [envelope]))
     try:
-        server = HubServer(addr, hub)
+        server = HubServer(addr, Hub(spool_dir=spool_dir))
     except OSError as e:
         print(f"cannot bind {listen}: {e}", file=err)
         return ExitCode.TRANSIENT_IO

@@ -17,8 +17,8 @@ case-insensitive alternation, because Unicode case folding also matches
 some non-ASCII letters to ASCII ones (KELVIN SIGN to ``k``, LONG S to ``s``,
 dotted and dotless I to ``i``).
 
-The receipt records which fields were transformed and when; it holds no
-record, so no PHI.
+The receipt records which fields were transformed and when, at the time
+the caller passes in; it holds no record, so no PHI.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import hmac
 import os
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from enum import Enum
 
 from .model import IdentityBlock, StudyRecord
@@ -203,7 +203,7 @@ def deidentify_study(
     s: StudyRecord,
     reports: list[InteractiveReport],
     policy: DeidPolicy,
-    now: datetime | None = None,
+    now: datetime,
 ) -> tuple[StudyRecord, list[InteractiveReport], DeidReceipt]:
     policy.validate()
     for t in s.identity.phi_tokens:
@@ -246,7 +246,7 @@ def deidentify_study(
         ))
     receipt = DeidReceipt(
         fields_transformed=sorted(policy.actions),
-        performed_at=now if now is not None else datetime.now(timezone.utc),
+        performed_at=now,
     )
     return study, out_reports, receipt
 

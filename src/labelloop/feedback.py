@@ -1,8 +1,8 @@
 """Detection-to-label matching and agreement scoring.
 
 Candidate pairs are per finding code. A detection box and a hyperlinked BOX
-label are eligible when IoU >= tau (0.3 by default: pointer-grade anchors do
-not localize tightly). A POINT label is eligible when it falls inside the
+label are eligible when IoU >= ``DEFAULT_TAU`` = 0.3 (pointer-grade anchors
+do not localize tightly). A POINT label is eligible when it falls inside the
 detection box and scores 1.0. Selection is greedy by descending score with
 ties broken by lower detection index, then lower label index. TEXT_ONLY
 positive labels then soak up any same-code detection still unpaired, at code
@@ -16,10 +16,9 @@ Scoring buckets per study:
 
 The unverified bucket exists because an unmentioned finding is not evidence of
 absence; those detections are withheld from both fp and the monitoring stream.
-With representative-lesion demotion on (the default), extra same-code
-detections in a study that already has a matched pair of that code also land
-in unverified rather than fp, since readers often mark only one lesion of
-several.
+Representative-lesion demotion is always on: extra same-code detections in a
+study that already has a matched pair of that code also land in unverified
+rather than fp, since readers often mark only one lesion of several.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .reports import ExtractedLabel, LabelStrength, Polarity
 
 __all__ = [
     "ExecutionMode", "Detection", "AlgorithmOutput", "MatchPair",
-    "MatchResult", "MatchOptions", "StudyAgreement", "LedgerRow",
+    "MatchResult", "StudyAgreement", "LedgerRow",
     "InputError", "DEFAULT_TAU", "match_detections", "score_study",
     "aggregate_metrics", "greedy_select",
 ]
@@ -73,17 +72,10 @@ class MatchPair:
 
 
 @dataclass(frozen=True)
-class MatchOptions:
-    tau: float = DEFAULT_TAU
-    representative_demotion: bool = True
-
-
-@dataclass(frozen=True)
 class MatchResult:
     output: AlgorithmOutput
     labels: list[ExtractedLabel]
     pairs: list[MatchPair]
-    options: MatchOptions
 
 
 @dataclass(frozen=True)
@@ -112,7 +104,7 @@ class LedgerRow:
     ppv: float | None
 
 
-def _pair_score(det: Detection, label: ExtractedLabel, tau: float) -> float | None:
+def _pair_score(det: Detection, label: ExtractedLabel) -> float | None:
     """Eligibility score for a geometric pair, or None when ineligible."""
     if label.finding is not det.finding:
         return None
@@ -121,7 +113,7 @@ def _pair_score(det: Detection, label: ExtractedLabel, tau: float) -> float | No
         return None
     if r.kind is RegionKind.BOX:
         v = region_iou(det.region, r)
-        return v if v >= tau else None
+        return v if v >= DEFAULT_TAU else None
     if det.region.contains_point(r.x0, r.y0):
         return 1.0
     return None
@@ -141,8 +133,8 @@ def greedy_select(scored: list[tuple[int, int, float]]) -> list[tuple[int, int, 
     return chosen
 
 
-def match_detections(out: AlgorithmOutput, labels: list[ExtractedLabel],
-                     options: MatchOptions = MatchOptions()) -> MatchResult:
+def match_detections(out: AlgorithmOutput,
+                     labels: list[ExtractedLabel]) -> MatchResult:
     for lab in labels:
         if lab.study_uid != out.study_uid:
             raise InputError(
@@ -153,7 +145,7 @@ def match_detections(out: AlgorithmOutput, labels: list[ExtractedLabel],
         if lab.polarity is not Polarity.POSITIVE or lab.strength is not LabelStrength.HYPERLINKED:
             continue
         for di, det in enumerate(out.detections):
-            s = _pair_score(det, lab, options.tau)
+            s = _pair_score(det, lab)
             if s is not None:
                 scored.append((di, li, s))
 
@@ -174,7 +166,7 @@ def match_detections(out: AlgorithmOutput, labels: list[ExtractedLabel],
                 used_l.add(li)
                 break
 
-    return MatchResult(out, list(labels), pairs, options)
+    return MatchResult(out, list(labels), pairs)
 
 
 def score_study(match: MatchResult, site_id: str) -> StudyAgreement:
@@ -186,12 +178,11 @@ def score_study(match: MatchResult, site_id: str) -> StudyAgreement:
 
     fn = sum(1 for i, lab in enumerate(labels)
              if i not in used_l and lab.polarity is Polarity.POSITIVE)
-    demote = matched_codes if match.options.representative_demotion else set()
     fp = unverified = 0
     for i, det in enumerate(out.detections):
         if i in used_d:
             continue
-        if det.finding not in mentioned or det.finding in demote:
+        if det.finding not in mentioned or det.finding in matched_codes:
             unverified += 1
         else:
             fp += 1

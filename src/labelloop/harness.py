@@ -37,7 +37,7 @@ from .canon import (
 )
 from .deid import SECRET_ENV_VAR, default_policy, deidentify_study, secret_from_env
 from .feedback import (
-    AlgorithmOutput, Detection, ExecutionMode, MatchOptions, StudyAgreement,
+    AlgorithmOutput, Detection, ExecutionMode, StudyAgreement,
     aggregate_metrics, match_detections, score_study,
 )
 from .model import (
@@ -784,7 +784,7 @@ class _Run:
 
     def feedback(self, s: _Study) -> None:
         for output in s.outputs:
-            match = match_detections(output, s.labels, MatchOptions())
+            match = match_detections(output, s.labels)
             s.agreements.append(score_study(match, s.sid))
         self.agreements.extend(s.agreements)
 

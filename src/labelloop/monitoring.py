@@ -9,34 +9,37 @@ Bernoulli CUSUM on the remainder:
 
     s_plus' = max(0, s_plus + (p0 - x) - k)      fires when s_plus' > h
 
-and resets to zero on every fire. The slack k absorbs in-control jitter. The
-decision interval h trades detection delay against false alarms; with
-k = 0.05 the configured default h = 10.0 was set by the replay harness: a
-0.9 -> 0.6 agreement drop is caught within ~60 events while in-control
-streams of 10,000 events (p0 estimated, 20 seeds) average 0.05 false alarms
-(at h = 2.0 the in-control average run length is about 117 events, which is
-unusable, and h = 8.0 still averages 0.45 against estimation noise).
+and resets to zero on every fire, with p0 floored at ``P0_FLOOR`` = 0.01. The
+slack k = ``CUSUM_K`` = 0.05 absorbs in-control jitter. The decision interval
+h trades detection delay against false alarms; the configured default
+h = 10.0 was set by the replay harness: a 0.9 -> 0.6 agreement drop is caught
+within ~60 events while in-control streams of 10,000 events (p0 estimated, 20
+seeds) average 0.05 false alarms (at h = 2.0 the in-control average run
+length is about 117 events, which is unusable, and h = 8.0 still averages
+0.45 against estimation noise).
 
 Alert severity grades on the agreement rate observed over the excursion that
 fired (the events since s_plus last left zero): CRITICAL when that rate has
-fallen to p0 - 0.2 or below, WARN otherwise. The trailing 200-event window is
-kept as context in the evidence but is deliberately not the severity basis,
-because detection is far faster than the window drains.
+fallen to p0 - ``CRITICAL_DROP`` (0.2) or below, WARN otherwise. The
+trailing 200-event window is kept as context in the evidence but is
+deliberately not the severity basis, because detection is far faster than
+the window drains.
 
 External drift. Per site, each study contributes its set of positively
 labeled codes to a histogram (one no-finding bin for studies without any).
 After a 1,000-study calibration, every tumbling 200-study window is compared
 to the calibration by Pearson chi-square over the six code bins plus
-no-finding, pooling bins with expected count below 5, firing above 24.32.
-The calibration is five windows long on purpose: expected counts are
-estimated, not known, which inflates the one-sample statistic by roughly
-(1 + window/calibration); at 200/200 that factor is 2 and the nominal 0.001
-tail becomes ~6% per window, while at 200/1000 the measured null rate is
-~0.15% per window with the 24.32 threshold intact.
+no-finding, pooling bins with expected count below 5, firing above
+``CHI2_THRESHOLD`` = 24.32. The calibration is five windows long on purpose:
+expected counts are estimated, not known, which inflates the one-sample
+statistic by roughly (1 + window/calibration); at 200/200 that factor is 2
+and the nominal 0.001 tail becomes ~6% per window, while at 200/1000 the
+measured null rate is ~0.15% per window with the 24.32 threshold intact.
 
 Alerts are value objects with the triggering statistic and threshold embedded,
 and their ids are pure functions of the evidence, so replaying a stream from
-its event log regenerates byte-identical alerts.
+its event log regenerates byte-identical alerts. The four named constants
+are fixed; ``MonitorConfig`` holds h and the calibration and window lengths.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from typing import Iterable
 from .canon import canonical_digest, digest_text
 from .feedback import InputError, StudyAgreement
 from .model import FindingCode
+from .registry import AuditAction
 
 __all__ = [
     "AlertKind", "AlertSeverity", "CusumState", "MonitorConfig", "Alert",
@@ -61,6 +65,10 @@ __all__ = [
 NO_FINDING_BIN = "NO_FINDING"
 DEVELOPER_CHANNEL = "developer"
 NO_ALGORITHM = "-"
+CUSUM_K = 0.05
+P0_FLOOR = 0.01
+CRITICAL_DROP = 0.2
+CHI2_THRESHOLD = 24.32
 
 
 class AlertKind(Enum):
@@ -75,15 +83,11 @@ class AlertSeverity(Enum):
 
 @dataclass(frozen=True)
 class MonitorConfig:
-    k: float = 0.05
     h: float = 10.0  # retuned from 2.0; see module docstring
     n0: int = 500
     window: int = 200
-    p0_floor: float = 0.01
-    critical_drop: float = 0.2
     prevalence_calibration: int = 1000  # see module docstring
     prevalence_window: int = 200
-    chi2_threshold: float = 24.32
 
 
 @dataclass(frozen=True)
@@ -145,7 +149,7 @@ class AgreementStream:
         self.event_count = 0
         self._calibration_ones = 0
         self.p0: float | None = None
-        self.cusum = CusumState(0.0, config.k, config.h)
+        self.cusum = CusumState(0.0, CUSUM_K, config.h)
         self.window = deque(maxlen=config.window)
         self._excursion_ones = 0
         self._excursion_len = 0
@@ -157,14 +161,14 @@ class AgreementStream:
         if self.p0 is None:
             self._calibration_ones += x
             if self.event_count >= cfg.n0:
-                self.p0 = max(self._calibration_ones / cfg.n0, cfg.p0_floor)
+                self.p0 = max(self._calibration_ones / cfg.n0, P0_FLOOR)
             return None
         if self.cusum.s_plus == 0.0:
             self._excursion_ones = 0
             self._excursion_len = 0
         self._excursion_ones += x
         self._excursion_len += 1
-        before_reset = self.cusum.s_plus + (self.p0 - x) - cfg.k
+        before_reset = self.cusum.s_plus + (self.p0 - x) - CUSUM_K
         state, fired = cusum_step(self.cusum, x, self.p0)
         self.cusum = state
         if not fired:
@@ -172,7 +176,7 @@ class AgreementStream:
         excursion_rate = self._excursion_ones / self._excursion_len
         window_rate = sum(self.window) / len(self.window)
         severity = (AlertSeverity.CRITICAL
-                    if excursion_rate <= self.p0 - cfg.critical_drop
+                    if excursion_rate <= self.p0 - CRITICAL_DROP
                     else AlertSeverity.WARN)
         site, alg, ver = self.key
         return Alert(
@@ -265,11 +269,10 @@ def _chi_square(observed: dict[str, int], calibration: dict[str, int]) -> float:
 
 def prevalence_shift_check(profile: PrevalenceProfile,
                            raised_at: datetime) -> Alert | None:
-    cfg = profile.config
     stat = _chi_square(profile.window_counts, profile.calibration)
-    if stat <= cfg.chi2_threshold:
+    if stat <= CHI2_THRESHOLD:
         return None
-    severity = (AlertSeverity.CRITICAL if stat > 2 * cfg.chi2_threshold
+    severity = (AlertSeverity.CRITICAL if stat > 2 * CHI2_THRESHOLD
                 else AlertSeverity.WARN)
     return Alert(
         alert_id=_alert_id(AlertKind.EXTERNAL_DRIFT, profile.site_id,
@@ -279,7 +282,7 @@ def prevalence_shift_check(profile: PrevalenceProfile,
         algorithm_id=NO_ALGORITHM,
         version=NO_ALGORITHM,
         severity=severity,
-        evidence=AlertEvidence(statistic=stat, threshold=cfg.chi2_threshold,
+        evidence=AlertEvidence(statistic=stat, threshold=CHI2_THRESHOLD,
                                event_index=profile.study_count),
         raised_at=raised_at,
     )
@@ -295,7 +298,8 @@ def propagate_alert(alert: Alert, registry,
     else:
         sites = registry.list_sites_running(alert.algorithm_id, alert.version)
     recipients = sorted(sites) + [DEVELOPER_CHANNEL]
-    registry.append_audit("ALERT", "monitoring", canonical_digest(alert), at=delivered_at)
+    registry.append_audit(AuditAction.ALERT, "monitoring", canonical_digest(alert),
+                          at=delivered_at)
     return [Notification(alert.alert_id, r, delivered_at) for r in recipients]
 
 
@@ -339,14 +343,13 @@ class MonitoringEngine:
         return propagate_alert(alert, registry, delivered_at)
 
 
-def replay_events(events: Iterable[int], config: MonitorConfig = MonitorConfig(),
-                  site_id: str = "replay", algorithm_id: str = "alg",
-                  version: str = "1") -> list[int]:
+def replay_events(events: Iterable[int],
+                  config: MonitorConfig = MonitorConfig()) -> list[int]:
     """Drive a raw 0/1 stream through the real calibration + CUSUM path and
     return the 1-based event indices at which the detector fired. The loop
-    never calls it: it is the (k, h) tuning harness behind criterion 5 and
+    never calls it: it is the h tuning harness behind criterion 5 and
     the numbers in this module's docstring."""
-    stream = AgreementStream(site_id, algorithm_id, version, config)
+    stream = AgreementStream("replay", "alg", "1", config)
     at = datetime(2024, 1, 1, tzinfo=timezone.utc)
     fires = []
     for x in events:

@@ -137,7 +137,11 @@ def make_envelope(site_id: str, kind: EnvelopeKind, record,
 def _check_envelope(e: Envelope) -> None:
     if e.schema_version != SCHEMA_VERSION:
         raise VersionError(f"unsupported schema_version {e.schema_version}")
-    if digest_text(e.payload) != e.payload_digest:
+    try:
+        digest = digest_text(e.payload)
+    except UnicodeEncodeError:
+        raise IntegrityError("payload is not UTF-8 text") from None
+    if digest != e.payload_digest:
         raise IntegrityError("payload digest mismatch")
 
 
@@ -241,16 +245,17 @@ _KINDS = {
 
 class Hub:
     """Idempotent envelope store with an at-ingest validation gate. It keeps
-    one envelope per idempotency key; ``on_accept`` subscribers get the
-    decoded record after the store, outside the key lock, and the hub then
-    drops it; a subscriber's own error propagates. Only ``labelloop hub
-    --spool`` subscribes, to spool envelopes."""
+    one envelope per idempotency key and drops the record it decoded to
+    validate it. With a ``spool_dir`` (``labelloop hub --spool``), each
+    accepted envelope is also appended to its site's spool file, under the
+    key lock and before the store: a failed write stores nothing and raises
+    ``TransientStoreError``, so the client gets no ack and retries."""
 
-    def __init__(self):
+    def __init__(self, spool_dir: str | Path | None = None):
         self._lock = threading.Lock()
         self._envelopes: dict[str, Envelope] = {}
         self._fail_budget = 0
-        self.on_accept: list[Callable[[Envelope, object], None]] = []
+        self._spool_dir = spool_dir
 
     def fail_next_ingests(self, n: int) -> None:
         """Fault injection: the next ``n`` ingests that pass validation raise
@@ -279,9 +284,12 @@ class Hub:
                 if known.payload_digest == e.payload_digest:
                     return Ack(e.envelope_id, AckStatus.DUPLICATE)
                 return Ack(e.envelope_id, AckStatus.REJECTED, "idempotency conflict")
+            if self._spool_dir is not None:
+                try:
+                    write_spool(self._spool_dir, e.site_id, [e])
+                except OSError as err:
+                    raise TransientStoreError(f"spool write failed: {err}") from None
             self._envelopes[e.idempotency_key] = e
-        for hook in self.on_accept:
-            hook(e, record)
         return Ack(e.envelope_id, AckStatus.ACCEPTED)
 
     def stored_count(self, key: str | None = None) -> int:

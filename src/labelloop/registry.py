@@ -12,7 +12,9 @@ Each audit entry commits to its predecessor:
 
 with the timestamp rendered exactly as ``audit.log`` stores it
 (``canon.format_datetime``, microseconds included) and the genesis prev_hash
-of 64 zeros. Appending is the only mutation the log supports.
+of 64 zeros. Appending is the only mutation the log supports. The registry
+reads no clock: each mutation stamps its entry with the time its caller
+passes, and lifecycle and deployment entries name the actor ``hub``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
+from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .canon import (
     canonical_decode, canonical_digest, canonical_encode, format_datetime,
@@ -163,8 +165,7 @@ class Registry:
     AUDIT_LOG = "audit.log"
     AUDIT_HEAD = "audit.head"
 
-    def __init__(self, now: Callable[[], datetime] | None = None):
-        self._now = now or (lambda: datetime.now(timezone.utc))
+    def __init__(self):
         self._lock = threading.Lock()
         self.models: dict[tuple[str, str], ModelRecord] = {}
         self.assignments: list[DeploymentAssignment] = []
@@ -172,24 +173,19 @@ class Registry:
 
     # -- audit chain ---------------------------------------------------
 
-    def append_audit(self, action: AuditAction | str, actor: str,
-                     payload_digest: str,
-                     at: datetime | None = None) -> AuditEntry:
-        if isinstance(action, str):
-            action = AuditAction[action]
+    def append_audit(self, action: AuditAction, actor: str,
+                     payload_digest: str, at: datetime) -> AuditEntry:
         with self._lock:
             return self._append_audit_locked(action, actor, payload_digest, at)
 
     def _append_audit_locked(self, action: AuditAction, actor: str,
-                             payload_digest: str,
-                             at: datetime | None) -> AuditEntry:
+                             payload_digest: str, at: datetime) -> AuditEntry:
         seq = len(self.audit) + 1
-        ts = at if at is not None else self._now()
         prev = self.audit[-1].entry_hash if self.audit else GENESIS_HASH
         entry = AuditEntry(
-            seq=seq, timestamp=ts, actor=actor, action=action,
+            seq=seq, timestamp=at, actor=actor, action=action,
             payload_digest=payload_digest, prev_hash=prev,
-            entry_hash=entry_hash_of(seq, ts, actor, action,
+            entry_hash=entry_hash_of(seq, at, actor, action,
                                      payload_digest, prev),
         )
         self.audit.append(entry)
@@ -205,8 +201,7 @@ class Registry:
 
     # -- model lifecycle -----------------------------------------------
 
-    def register_version(self, rec: ModelRecord, actor: str = "hub",
-                         at: datetime | None = None) -> AuditEntry:
+    def register_version(self, rec: ModelRecord, at: datetime) -> AuditEntry:
         if rec.status is not ModelStatus.CANDIDATE:
             raise StateError("versions register as CANDIDATE")
         key = (rec.algorithm_id, rec.version)
@@ -216,11 +211,10 @@ class Registry:
                     f"version {rec.algorithm_id} {rec.version} already registered")
             self.models[key] = rec
             return self._append_audit_locked(
-                AuditAction.REGISTER, actor, canonical_digest(rec), at)
+                AuditAction.REGISTER, "hub", canonical_digest(rec), at)
 
     def set_status(self, algorithm_id: str, version: str,
-                   status: ModelStatus, actor: str = "hub",
-                   at: datetime | None = None) -> AuditEntry:
+                   status: ModelStatus, at: datetime) -> AuditEntry:
         with self._lock:
             rec = self.models.get((algorithm_id, version))
             if rec is None:
@@ -231,13 +225,12 @@ class Registry:
             updated = replace(rec, status=status)
             self.models[(algorithm_id, version)] = updated
             return self._append_audit_locked(
-                AuditAction.STATUS_CHANGE, actor, canonical_digest(updated), at)
+                AuditAction.STATUS_CHANGE, "hub", canonical_digest(updated), at)
 
     # -- deployments ----------------------------------------------------
 
     def assign_deployment(self, assignment: DeploymentAssignment,
-                          actor: str = "hub",
-                          at: datetime | None = None) -> AuditEntry:
+                          at: datetime) -> AuditEntry:
         with self._lock:
             rec = self.models.get((assignment.algorithm_id, assignment.version))
             if rec is None or rec.status is not ModelStatus.DEPLOYED:
@@ -252,7 +245,7 @@ class Registry:
             self.assignments = refreshed
             self.assignments.append(replace(assignment, active=True))
             return self._append_audit_locked(
-                AuditAction.ASSIGN, actor, canonical_digest(assignment), at)
+                AuditAction.ASSIGN, "hub", canonical_digest(assignment), at)
 
     def list_sites_running(self, algorithm_id: str, version: str) -> set[str]:
         # an active assignment of a SUSPENDED version is not "running"

@@ -26,7 +26,7 @@ import pytest
 from labelloop.canon import canonical_decode, canonical_encode, digest_text
 from labelloop.deid import default_policy, deidentify_study, verify_deidentified
 from labelloop.feedback import (
-    AlgorithmOutput, Detection, ExecutionMode, MatchOptions, greedy_select,
+    AlgorithmOutput, Detection, ExecutionMode, greedy_select,
     match_detections, score_study,
 )
 from labelloop.harness import (
@@ -297,7 +297,7 @@ def test_criterion_4_matching_oracle_and_conservation(capsys, reference_run):
         for output in result.hub.records(EnvelopeKind.ALG_OUTPUT):
             labels = labels_by_study[output.study_uid]
             agreement = score_study(
-                match_detections(output, labels, MatchOptions()),
+                match_detections(output, labels),
                 site_id="recount")
             positives = sum(1 for l in labels
                             if l.polarity is Polarity.POSITIVE)
@@ -455,7 +455,7 @@ def test_criterion_7_audit_tamper_detection(capsys, tmp_path):
     with criterion(capsys, 7, "audit tamper detection") as info:
         _golden_chain_oracle()
 
-        registry = Registry(now=lambda: T0)
+        registry = Registry()
         actions = list(AuditAction)
         for i in range(60):
             registry.append_audit(actions[i % len(actions)], f"actor{i % 7}",

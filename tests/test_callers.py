@@ -7,6 +7,11 @@ called when a name, an attribute or a string constant in ``src/`` or in
 outside ``__all__``; a method counts only as an attribute or a string.
 Matching goes by spelling alone, so this is a floor on dead code, not a call
 graph.
+
+Each defaulted parameter of a public function, or of a public method or
+``__init__`` of a public class, must likewise be passed, by keyword or by
+enough positional arguments, by some call there spelled with the function's
+name (the class's for ``__init__``); an option no caller sets is dead code.
 """
 
 import ast
@@ -91,3 +96,79 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(uncalled) - set(ALLOWED)) == []
     # an allowlisted name that gained a caller leaves the list
     assert sorted(set(ALLOWED) - set(uncalled)) == []
+
+
+# defaulted parameters no call outside the tests passes, each a test seam
+ALLOWED_DEFAULTS = {
+    "cli.cmd_hub(on_ready)": "hands the bound server to a test before serving",
+    "cli.cmd_hub(err)": "captures diagnostics in a test",
+    "cli.cmd_report(out)": "captures the table in a test",
+    "cli.cmd_report(err)": "captures diagnostics in a test",
+    "cli.main(argv)": "argparse reads sys.argv when it is None",
+    "harness.make_scenario(n_algorithms)": "the one-algorithm drill scenarios",
+    "monitoring.replay_events(config)": "the tuning harness varies h",
+    "protocol.Hub.stored_count(key)": "a test asks whether one key is stored",
+    "protocol.submit_batch(sleep)": "tests record the backoff without sleeping",
+}
+
+
+def defaulted_parameters(path: Path):
+    """(qualified name, name a call spells, parameter, positional index or
+    None for keyword-only) of each defaulted parameter of a public function,
+    or of a public method or ``__init__`` of a public class; the index leaves
+    out ``self``."""
+    def params(fn, spelled, owner, method):
+        positional = fn.args.posonlyargs + fn.args.args
+        if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                              for d in fn.decorator_list):
+            positional = positional[1:]
+        defaulted = positional[len(positional) - len(fn.args.defaults):]
+        for arg in defaulted:
+            yield (f"{owner}({arg.arg})", spelled, arg.arg,
+                   positional.index(arg))
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield f"{owner}({arg.arg})", spelled, arg.arg, None
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text("utf-8")).body:
+        if not isinstance(node, (*functions, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, functions):
+            yield from params(node, node.name, f"{path.stem}.{node.name}", False)
+        else:
+            for item in node.body:
+                if isinstance(item, functions) and (
+                        item.name == "__init__" or not item.name.startswith("_")):
+                    spelled = node.name if item.name == "__init__" else item.name
+                    yield from params(item, spelled,
+                                      f"{path.stem}.{node.name}.{item.name}", True)
+
+
+def calls(path: Path):
+    """(name the callee is spelled with, keyword names, count of plain
+    positional arguments) of each call in the file."""
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else (
+                func.attr if isinstance(func, ast.Attribute) else None)
+            positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+            yield name, {k.arg for k in node.keywords}, len(positional)
+
+
+def test_every_defaulted_parameter_is_passed():
+    seen: dict[str, list[tuple[set, int]]] = {}
+    for path in caller_files():
+        for name, keywords, n_positional in calls(path):
+            seen.setdefault(name, []).append((keywords, n_positional))
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, spelled, param, index in defaulted_parameters(path):
+            if not any(param in keywords
+                       or (index is not None and n_positional > index)
+                       for keywords, n_positional in seen.get(spelled, ())):
+                unpassed.append(qualified)
+    assert sorted(set(unpassed) - set(ALLOWED_DEFAULTS)) == []
+    # an allowlisted parameter that gained a caller leaves the list
+    assert sorted(set(ALLOWED_DEFAULTS) - set(unpassed)) == []

@@ -19,7 +19,10 @@ from labelloop.harness import (
     make_scenario, save_scenario,
 )
 from labelloop.model import FindingCode
-from labelloop.protocol import TcpClient, envelope_from_line, make_envelope, EnvelopeKind
+from labelloop.protocol import (
+    DeliveryError, EnvelopeKind, TcpClient, envelope_from_line, make_envelope,
+    submit_batch,
+)
 from labelloop.registry import AuditAction, AuditEntry, Registry
 from labelloop.reports import ExtractedLabel, LabelSet, LabelStrength, Polarity
 
@@ -131,16 +134,16 @@ class TestSimulate:
 
     def test_resolve_override_precedence(self, monkeypatch):
         monkeypatch.setenv("LABELLOOP_SEED", "7")
-        assert _resolve_override(3, "LABELLOOP_SEED", int, None) == (3, None)
-        assert _resolve_override(None, "LABELLOOP_SEED", int, None) == (7, None)
+        assert _resolve_override(3, "LABELLOOP_SEED", int) == (3, None)
+        assert _resolve_override(None, "LABELLOOP_SEED", int) == (7, None)
         monkeypatch.delenv("LABELLOOP_SEED")
-        assert _resolve_override(None, "LABELLOOP_SEED", int, None) == (None, None)
+        assert _resolve_override(None, "LABELLOOP_SEED", int) == (None, None)
 
 
 def audit_dir(tmp_path, n=5):
-    registry = Registry(now=lambda: T0)
+    registry = Registry()
     for i in range(n):
-        registry.append_audit("REGISTER", "hub", digest_text(f"payload{i}"),
+        registry.append_audit(AuditAction.REGISTER, "hub", digest_text(f"payload{i}"),
                               at=T0 + timedelta(minutes=i))
     registry.save(tmp_path)
     return tmp_path
@@ -189,6 +192,16 @@ class TestVerifyAudit:
         assert cmd_verify_audit(str(path)) is ExitCode.AUDIT_BROKEN
         assert capsys.readouterr().out == "broken at seq 1\n"
 
+    def test_lone_surrogate_escape_is_broken_not_a_crash(self, tmp_path, capsys):
+        # UTF-8 cannot hold the decoded actor, so the entry has no hash
+        path = audit_dir(tmp_path, n=4)
+        log = path / "audit.log"
+        lines = log.read_text().splitlines()
+        lines[2] = lines[2].replace('"actor":"hub"', '"actor":"hub\\udc00"')
+        log.write_text("\n".join(lines) + "\n")
+        assert cmd_verify_audit(str(path)) is ExitCode.AUDIT_BROKEN
+        assert capsys.readouterr().out == "broken at seq 3\n"
+
     def test_truncation_is_caught_via_the_head(self, tmp_path, capsys):
         path = audit_dir(tmp_path, n=5)
         log = path / "audit.log"
@@ -209,7 +222,7 @@ class TestVerifyAudit:
     def test_line_separator_inside_a_field_is_not_a_line_break(
             self, tmp_path, capsys, separator):
         # canonical JSON writes these raw inside strings; only "\n" ends a record
-        registry = Registry(now=lambda: T0)
+        registry = Registry()
         registry.append_audit(AuditAction.REGISTER, f"ops{separator}team",
                               digest_text("payload"), at=T0)
         registry.save(tmp_path)
@@ -303,6 +316,39 @@ class TestHub:
         assert len(lines) == 4
         assert {envelope_from_line(l).idempotency_key for l in lines} == \
             {e.idempotency_key for e in envelopes}
+
+    def test_failed_spool_write_stores_nothing_and_gets_no_ack(self, tmp_path):
+        spool = tmp_path / "spool"
+        blocker = spool / "siteZ.env.jsonl"
+        blocker.mkdir(parents=True)  # opening it for append fails
+        e = sample_envelope()
+        outcome = {}
+
+        def on_ready(server):
+            def drive():
+                try:
+                    port = server.server_address[1]
+                    with TcpClient("127.0.0.1", port) as tcp:
+                        try:
+                            submit_batch(tcp, [e], sleep=lambda s: None)
+                        except DeliveryError as err:
+                            outcome["undelivered"] = err.undelivered
+                        outcome["stored"] = server.hub.stored_count()
+                        blocker.rmdir()
+                        outcome["acks"] = [a.status.name for a in
+                                           submit_batch(tcp, [e, e])]
+                finally:
+                    server.shutdown()
+            threading.Thread(target=drive, daemon=True).start()
+
+        code = cmd_hub("127.0.0.1:0", spool_dir=str(spool), on_ready=on_ready,
+                       err=io.StringIO())
+        assert code is ExitCode.OK
+        assert outcome["undelivered"] == [e.envelope_id]
+        assert outcome["stored"] == 0
+        assert outcome["acks"] == ["ACCEPTED", "DUPLICATE"]
+        lines = blocker.read_text().splitlines()
+        assert [envelope_from_line(l) for l in lines] == [e]
 
 
 class TestMain:

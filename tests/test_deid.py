@@ -84,7 +84,7 @@ def test_date_shift_range(pid):
 def test_literal_replacement_in_body():
     study, report = make_study()
     policy = default_policy(SECRET)
-    _, [r2], _ = deidentify_study(study, [report], policy)
+    _, [r2], _ = deidentify_study(study, [report], policy, now=WHEN)
     assert r2.body.startswith("Mr. [REDACTED] presents")
     assert "John Doe" not in r2.body
 
@@ -94,8 +94,8 @@ def test_relative_time_between_studies_preserved():
     s1, _ = make_study()
     s2 = dataclasses.replace(s1, study_uid="S10",
                              acquired_at=WHEN + timedelta(days=30))
-    d1, _, _ = deidentify_study(s1, [], policy)
-    d2, _, _ = deidentify_study(s2, [], policy)
+    d1, _, _ = deidentify_study(s1, [], policy, now=WHEN)
+    d2, _, _ = deidentify_study(s2, [], policy, now=WHEN)
     assert d2.acquired_at - d1.acquired_at == timedelta(days=30)
 
 
@@ -103,8 +103,8 @@ def test_same_patient_same_pseudonym_across_batches():
     policy = default_policy(SECRET)
     s1, _ = make_study()
     s2 = dataclasses.replace(s1, study_uid="S10")
-    d1, _, _ = deidentify_study(s1, [], policy)
-    d2, _, _ = deidentify_study(s2, [], policy)
+    d1, _, _ = deidentify_study(s1, [], policy, now=WHEN)
+    d2, _, _ = deidentify_study(s2, [], policy, now=WHEN)
     assert d1.identity.patient_id == d2.identity.patient_id
     assert d1.study_uid != d2.study_uid
 
@@ -112,14 +112,14 @@ def test_same_patient_same_pseudonym_across_batches():
 def test_fixture_study_has_zero_leaks():
     study, report = make_study()
     policy = default_policy(SECRET)
-    s2, rs2, _ = deidentify_study(study, [report], policy)
+    s2, rs2, _ = deidentify_study(study, [report], policy, now=WHEN)
     assert verify_deidentified(s2, rs2, study.identity.phi_tokens) == []
 
 
 def test_verifier_catches_planted_leak():
     study, report = make_study()
     policy = default_policy(SECRET)
-    s2, rs2, _ = deidentify_study(study, [report], policy)
+    s2, rs2, _ = deidentify_study(study, [report], policy, now=WHEN)
     dirty = dataclasses.replace(rs2[0], body=rs2[0].body + " signed john doe")
     leaks = verify_deidentified(s2, [dirty], study.identity.phi_tokens)
     assert len(leaks) == 1
@@ -129,7 +129,7 @@ def test_verifier_catches_planted_leak():
 
 def test_referential_integrity_survives():
     study, report = make_study()
-    s2, [r2], _ = deidentify_study(study, [report], default_policy(SECRET))
+    s2, [r2], _ = deidentify_study(study, [report], default_policy(SECRET), now=WHEN)
     assert r2.study_uid == s2.study_uid
 
 
@@ -137,7 +137,7 @@ def test_anchors_survive_scrubbing():
     body_extra = (" Nodule {{link|image=IMG1|frame=3|region=10,10,40,40|meas=6mm}}"
                   " present.")
     study, report = make_study(body_extra=body_extra)
-    s2, [r2], _ = deidentify_study(study, [report], default_policy(SECRET))
+    s2, [r2], _ = deidentify_study(study, [report], default_policy(SECRET), now=WHEN)
     parsed = parse_body(r2, s2)
     assert len(parsed.anchors) == 1
     labels, _ = extract_labels(parsed)
@@ -173,7 +173,7 @@ pids = st.from_regex(r"P[0-9]{3,6}", fullmatch=True)
 def test_deidentify_then_verify_always_clean(name, pid, days, secret):
     study, report = make_study(name=name, pid=pid)
     study = dataclasses.replace(study, acquired_at=WHEN + timedelta(days=days))
-    s2, rs2, _ = deidentify_study(study, [report], default_policy(secret))
+    s2, rs2, _ = deidentify_study(study, [report], default_policy(secret), now=WHEN)
     assert verify_deidentified(s2, rs2, [name, pid]) == []
 
 
@@ -214,13 +214,13 @@ def test_ascii_study_compiles_no_regex(monkeypatch):
 
     monkeypatch.setattr(re, "compile", counting)
     study, report = make_study()
-    _, [r2], _ = deidentify_study(study, [report], default_policy(SECRET))
+    _, [r2], _ = deidentify_study(study, [report], default_policy(SECRET), now=WHEN)
     assert compiled == []
     assert r2.body.startswith("Mr. [REDACTED] presents")
     # a non-ASCII text still scrubs, through the regex
     s3, _, _ = deidentify_study(
         dataclasses.replace(study, order_text="MR for JOHN DOE \u00e9"), [],
-        default_policy(SECRET))
+        default_policy(SECRET), now=WHEN)
     assert s3.order_text == "MR for [REDACTED] \u00e9"
     assert len(compiled) == 1
 

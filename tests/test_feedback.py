@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from labelloop.feedback import (
-    AlgorithmOutput, Detection, ExecutionMode, InputError, MatchOptions,
+    AlgorithmOutput, Detection, ExecutionMode, InputError,
     aggregate_metrics, greedy_select, match_detections, score_study,
 )
 from labelloop.model import FindingCode, box, point, region_iou
@@ -134,15 +134,6 @@ def test_representative_demotion_default_on():
     labs = [hyper(NOD, box(0, 0, 10, 10))]
     a = score_study(match_detections(out_of(d0, d1), labs), site_id="A")
     assert (a.tp, a.fp, a.unverified) == (1, 0, 1)
-
-
-def test_representative_demotion_can_be_disabled():
-    d0 = Detection(NOD, box(0, 0, 10, 10), 0.9)
-    d1 = Detection(NOD, box(100, 100, 110, 110), 0.8)
-    labs = [hyper(NOD, box(0, 0, 10, 10))]
-    opts = MatchOptions(representative_demotion=False)
-    a = score_study(match_detections(out_of(d0, d1), labs, opts), site_id="A")
-    assert (a.tp, a.fp, a.unverified) == (1, 1, 0)
 
 
 def test_ledger_direct_arithmetic():

@@ -17,13 +17,14 @@ from labelloop.monitoring import (
     InputError,
     MonitorConfig,
     MonitoringEngine,
+    P0_FLOOR,
     PrevalenceProfile,
     cusum_step,
     events_of,
     propagate_alert,
     replay_events,
 )
-from labelloop.registry import Registry
+from labelloop.registry import AuditAction, Registry
 
 AT = datetime(2024, 3, 1, tzinfo=timezone.utc)
 
@@ -135,7 +136,7 @@ class TestAgreementStream:
         stream = AgreementStream("siteA", "lung-cad", "2.1.0", cfg)
         for _ in range(10):
             stream.observe_event(0, AT)
-        assert stream.p0 == cfg.p0_floor
+        assert stream.p0 == P0_FLOOR
 
     def test_key_mismatch_rejected(self):
         stream = AgreementStream("siteA", "lung-cad", "2.1.0")
@@ -164,7 +165,7 @@ class TestAgreementStream:
         assert alert.evidence.observed_rate < stream.p0 - 0.2
 
     def test_mild_drop_is_warn(self):
-        # drop smaller than critical_drop below p0 keeps severity at WARN
+        # drop smaller than CRITICAL_DROP below p0 keeps severity at WARN
         cfg = MonitorConfig(n0=100, window=50)
         stream = AgreementStream("siteA", "lung-cad", "2.1.0", cfg)
         for _ in range(100):
@@ -312,7 +313,7 @@ class FakeRegistry:
     def list_sites_running(self, algorithm_id, version):
         return set(self.sites)
 
-    def append_audit(self, action, actor, payload_digest, at=None):
+    def append_audit(self, action, actor, payload_digest, at):
         self.audits.append((action, actor, payload_digest))
 
 
@@ -334,11 +335,10 @@ class TestPropagation:
         assert [n.recipient for n in notes] == ["siteA", "siteB", "developer"]
         assert all(n.alert_id == notes[0].alert_id for n in notes)
         assert len(registry.audits) == 1
-        assert registry.audits[0][0] == "ALERT"
+        assert registry.audits[0][0] is AuditAction.ALERT
 
     def test_alert_audit_entry_carries_the_delivery_time(self):
-        # the registry's own clock is not the alert's time
-        registry = Registry(now=lambda: datetime(2000, 1, 1, tzinfo=timezone.utc))
+        registry = Registry()
         delivered_at = AT + timedelta(hours=1)
         propagate_alert(make_alert(), registry, delivered_at)
         assert [e.timestamp for e in registry.audit] == [delivered_at]

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from labelloop.canon import canonical_decode, canonical_encode, digest_text
 from labelloop.feedback import AlgorithmOutput, Detection, ExecutionMode
 from labelloop.harness import make_scenario, run_scenario
-from labelloop.model import FindingCode, box, point
+from labelloop.model import FindingCode, Measurement, StudyRecord, Unit, box, point
 from labelloop.protocol import (
     MAX_FRAME_BYTES, Ack, AckStatus, AlertAck, DeliveryError, Envelope,
     EnvelopeKind, FrameError, Hub, HubServer, InProcessClient, IntegrityError,
@@ -170,6 +170,42 @@ def test_huge_integer_confidence_rejected(confidence):
     assert ack.reason.startswith("undecodable payload: ")
 
 
+def test_lone_surrogate_in_envelope_line_is_a_frame_error():
+    # the escape decodes to a payload that UTF-8 cannot hold, so it has no digest
+    line = envelope_to_line(env_of()).replace("R1", "R1\\ud800", 1)
+    with pytest.raises(FrameError, match="lone surrogate"):
+        envelope_from_line(line)
+    body = line.encode("utf-8")
+    with pytest.raises(FrameError):
+        decode_envelope(len(body).to_bytes(4, "big") + body)
+
+
+def test_payload_that_is_not_utf8_text_rejected():
+    e = env_of()
+    ack = Hub().ingest(dataclasses.replace(e, payload=e.payload + "\ud800"))
+    assert ack == Ack(e.envelope_id, AckStatus.REJECTED, "payload is not UTF-8 text")
+
+
+@pytest.mark.parametrize("old,new", [
+    ('"report_uid":"R1"', '"report_uid":"R1\\ud800"'),
+    ('"value":12.5', '"value":NaN'),
+    ('"value":12.5', '"value":Infinity'),
+    ('"value":12.5', '"value":1e400'),
+], ids=["lone-surrogate", "nan", "infinity", "overflow"])
+def test_payload_without_a_canonical_line_rejected(old, new):
+    # none of these records has a canonical line to store or to digest
+    label = dataclasses.replace(labelset().labels[0],
+                                measurement=Measurement(12.5, Unit.mm))
+    e = env_of(LabelSet("R1", "S1", [label]))
+    payload = e.payload.replace(old, new)
+    assert payload != e.payload
+    hub = Hub()
+    ack = hub.ingest(_forged(e, payload))
+    assert ack.status is AckStatus.REJECTED
+    assert ack.reason.startswith("undecodable payload: ")
+    assert hub.stored_count() == 0
+
+
 def test_deeply_nested_payload_rejected():
     ack = Hub().ingest(_forged(env_of(), "[" * 100_000))
     assert ack.status is AckStatus.REJECTED
@@ -246,11 +282,9 @@ def test_hub_keeps_one_copy_of_each_envelope():
     # per key would retain about three times the payload bytes
     assert retained <= 0.5 * payload_bytes, (retained, payload_bytes)
 
-    # records() reads the store back as exactly what on_accept subscribers
-    # saw, in acceptance order; duplicates, rejections and conflicts add none
+    # records() reads the store back as the accepted envelopes decoded, in
+    # acceptance order; duplicates, rejections and conflicts add none
     hub = Hub()
-    seen = {kind: [] for kind in EnvelopeKind}
-    hub.on_accept.append(lambda e, record: seen[e.kind].append(record))
     labelsets = [e for e in envelopes if e.kind is EnvelopeKind.LABELSET]
     conflict = _forged(labelsets[0], labelsets[1].payload)
     undecodable = _forged(labelsets[2], "{}")  # under a key not yet accepted
@@ -260,9 +294,15 @@ def test_hub_keeps_one_copy_of_each_envelope():
         if e is labelsets[0]:
             assert hub.ingest(conflict).reason == "idempotency conflict"
             assert hub.ingest(undecodable).status is AckStatus.REJECTED
-    assert sum(map(len, seen.values())) == len(envelopes)
-    for kind in EnvelopeKind:
-        assert hub.records(kind) == seen[kind]
+    assert hub.stored_count() == len(envelopes)
+    payload_types = {
+        EnvelopeKind.STUDY: StudyRecord, EnvelopeKind.REPORT: InteractiveReport,
+        EnvelopeKind.LABELSET: LabelSet, EnvelopeKind.ALG_OUTPUT: AlgorithmOutput,
+        EnvelopeKind.ALERT_ACK: AlertAck,
+    }
+    for kind, cls in payload_types.items():
+        assert hub.records(kind) == [canonical_decode(e.payload, cls)
+                                     for e in envelopes if e.kind is kind]
 
 
 def test_retry_succeeds_after_two_failures():
