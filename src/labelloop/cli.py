@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .canon import CanonError, write_lines
 from .harness import load_scenario, run_scenario, validate_scenario
-from .monitoring import MonitorConfig
+from .monitoring import DEFAULT_CUSUM_H
 from .protocol import Hub, HubServer
 from .registry import ChainDecodeError, Registry, verify_audit_chain
 
@@ -92,9 +92,8 @@ def cmd_simulate(scenario_path: str, out_dir: str, seed: int | None = None,
             print(problem, file=err)
         return ExitCode.INVALID
 
-    monitor = MonitorConfig() if cusum_h is None else MonitorConfig(h=cusum_h)
     try:
-        result = run_scenario(cfg, monitor)
+        result = run_scenario(cfg, DEFAULT_CUSUM_H if cusum_h is None else cusum_h)
     except Exception as e:
         print(f"scenario run failed: {e}", file=err)
         return ExitCode.INVALID

@@ -17,8 +17,12 @@ case-insensitive alternation, because Unicode case folding also matches
 some non-ASCII letters to ASCII ones (KELVIN SIGN to ``k``, LONG S to ``s``,
 dotted and dotless I to ``i``).
 
-The receipt records which fields were transformed and when, at the time
-the caller passes in; it holds no record, so no PHI.
+The transforms are fixed: the patient name is removed, patient, accession,
+study, report and author ids become pseudonyms, dates shift, and the order
+text and report bodies are scrubbed. ``DeidPolicy`` carries only the site
+secret, kept out of ``repr`` and out of every canonical encoding. The
+receipt records which fields were transformed and when, at the time the
+caller passes in; it holds no record, so no PHI.
 """
 
 from __future__ import annotations
@@ -28,13 +32,12 @@ import os
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from enum import Enum
 
 from .model import IdentityBlock, StudyRecord
 from .reports import InteractiveReport
 
 __all__ = [
-    "DeidAction", "DeidPolicy", "DeidReceipt", "PolicyError", "Leak",
+    "DeidPolicy", "DeidReceipt", "PolicyError", "Leak",
     "pseudonymize", "date_shift_days", "default_policy", "deidentify_study",
     "verify_deidentified", "secret_from_env", "SECRET_ENV_VAR", "REDACTION",
 ]
@@ -43,46 +46,22 @@ SECRET_ENV_VAR = "LABELLOOP_SITE_SECRET"
 REDACTION = "[REDACTED]"
 
 
-class DeidAction(Enum):
-    REMOVE = "REMOVE"
-    PSEUDONYM = "PSEUDONYM"
-    DATE_SHIFT = "DATE_SHIFT"
-    SCRUB_TEXT = "SCRUB_TEXT"
-    KEEP = "KEEP"
-
-
 class PolicyError(ValueError):
     pass
 
 
-# field -> allowed actions; the first entry is the default
-_REQUIRED_ACTIONS: dict[str, tuple[DeidAction, ...]] = {
-    "patient_name": (DeidAction.REMOVE, DeidAction.SCRUB_TEXT),
-    "patient_id": (DeidAction.PSEUDONYM,),
-    "accession_number": (DeidAction.PSEUDONYM,),
-    "birth_date": (DeidAction.DATE_SHIFT,),
-    "acquired_at": (DeidAction.DATE_SHIFT,),
-    "body": (DeidAction.SCRUB_TEXT,),
-    "order_text": (DeidAction.SCRUB_TEXT,),
-}
+# what every receipt lists as transformed, sorted
+_FIELDS_TRANSFORMED = ("accession_number", "acquired_at", "birth_date", "body",
+                       "order_text", "patient_id", "patient_name")
 
 
 @dataclass(frozen=True)
 class DeidPolicy:
-    actions: dict[str, DeidAction]
-    site_secret: bytes = field(default=b"", metadata={"canon": "exclude"}, repr=False)
+    site_secret: bytes = field(metadata={"canon": "exclude"}, repr=False)
 
     def validate(self) -> None:
         if not self.site_secret:
             raise PolicyError("site_secret is empty")
-        for name, allowed in _REQUIRED_ACTIONS.items():
-            got = self.actions.get(name)
-            if got is None:
-                raise PolicyError(f"policy missing action for {name!r}")
-            if got not in allowed:
-                raise PolicyError(
-                    f"policy maps {name!r} to {got.name}, allowed: "
-                    + "/".join(a.name for a in allowed))
 
 
 @dataclass(frozen=True)
@@ -100,10 +79,7 @@ class Leak:
 
 
 def default_policy(site_secret: bytes) -> DeidPolicy:
-    return DeidPolicy(
-        actions={name: allowed[0] for name, allowed in _REQUIRED_ACTIONS.items()},
-        site_secret=site_secret,
-    )
+    return DeidPolicy(site_secret)
 
 
 def secret_from_env() -> bytes:
@@ -215,10 +191,8 @@ def deidentify_study(
     pseud = lambda scope, v: pseudonymize(secret, scope, v)
 
     new_patient_id = pseud("patient", s.identity.patient_id)
-    name_action = policy.actions["patient_name"]
-    new_name = "" if name_action is DeidAction.REMOVE else REDACTION
     identity = IdentityBlock(
-        patient_name=new_name,
+        patient_name="",
         patient_id=new_patient_id,
         birth_date=s.identity.birth_date + offset,
         accession_number=pseud("accession", s.identity.accession_number),
@@ -245,7 +219,7 @@ def deidentify_study(
             author_id=pseud("author", r.author_id),
         ))
     receipt = DeidReceipt(
-        fields_transformed=sorted(policy.actions),
+        fields_transformed=list(_FIELDS_TRANSFORMED),
         performed_at=now,
     )
     return study, out_reports, receipt

@@ -88,7 +88,6 @@ class StudyAgreement:
     fp: int
     fn: int
     unverified: int
-    pairs: list[MatchPair] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,6 @@ def score_study(match: MatchResult, site_id: str) -> StudyAgreement:
         fp=fp,
         fn=fn,
         unverified=unverified,
-        pairs=list(match.pairs),
     )
 
 

@@ -45,12 +45,12 @@ from .model import (
     LEXICON, StudyRecord, Unit, box,
 )
 from .monitoring import (
-    NO_ALGORITHM, Alert, AlertKind, MonitorConfig, MonitoringEngine,
+    DEFAULT_CUSUM_H, NO_ALGORITHM, Alert, AlertKind, MonitoringEngine,
     Notification,
 )
 from .protocol import (
-    AckStatus, AlertAck, EnvelopeKind, Hub, InProcessClient, make_envelope,
-    submit_batch,
+    AckStatus, AlertAck, EnvelopeKind, Hub, InProcessClient, is_plain_name,
+    make_envelope, submit_batch,
 )
 from .registry import (
     AuditAction, DeploymentAssignment, DeploymentMode, ModelRecord,
@@ -192,6 +192,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         problems.append("sites: site_id values must be unique")
     for i, site in enumerate(cfg.sites):
         base = f"sites[{i}]"
+        if not is_plain_name(site.site_id):
+            problems.append(f"{base}.site_id: {site.site_id!r} is not a plain name")
         if site.case_rate <= 0:
             problems.append(f"{base}.case_rate: must be positive")
         prof = site.radiologist
@@ -662,12 +664,12 @@ class _Run:
     STAGES = ("drift", "generate", "report", "deidentify", "extract",
               "submit", "execute", "feedback", "monitoring", "propagation")
 
-    def __init__(self, cfg: ScenarioConfig, monitor_config: MonitorConfig):
+    def __init__(self, cfg: ScenarioConfig, h: float):
         self.cfg = cfg
         self.registry = registry = Registry()
         self.hub = Hub()
         self.client = InProcessClient(self.hub)
-        self.engine = MonitoringEngine(monitor_config)
+        self.engine = MonitoringEngine(h)
         master = _master_secret(cfg.seed)
 
         for alg in cfg.algorithms:
@@ -830,14 +832,14 @@ class _Run:
                               assertion_failures=failures)
 
 
-def run_scenario(cfg: ScenarioConfig,
-                 monitor_config: MonitorConfig = MonitorConfig(),
-                 ) -> ScenarioResult:
+def run_scenario(cfg: ScenarioConfig, h: float = DEFAULT_CUSUM_H) -> ScenarioResult:
+    """Run every stage for each study of each site; ``h`` is the CUSUM
+    decision interval of every agreement stream."""
     problems = validate_scenario(cfg)
     if problems:
         raise ScenarioError("invalid scenario: " + "; ".join(problems))
 
-    run = _Run(cfg, monitor_config)
+    run = _Run(cfg, h)
     stages = [(name, getattr(run, name)) for name in _Run.STAGES]
     for index in range(cfg.n_studies):
         for state in run.states:

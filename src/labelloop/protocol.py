@@ -10,9 +10,12 @@ Ingestion semantics per idempotency_key:
     first presentation             -> ACCEPTED, payload persisted
     re-presentation, same digest   -> DUPLICATE, no second write
     re-presentation, new digest    -> REJECTED "idempotency conflict"
-Every other fault in a frame or an envelope (size, version, digest, payload
-shape or content) is answered by a REJECTED ack that names it; ``Hub.ingest``
-raises only ``TransientStoreError``, which the client retries.
+The hub derives the key from the envelope's site, kind and payload uid, and
+needs the site id to be a plain name (``is_plain_name``). That fault, a
+claimed key that differs, and every other fault in a frame or an envelope
+(size, version, digest, payload shape or content) are answered by a
+REJECTED ack that names it; ``Hub.ingest`` raises only
+``TransientStoreError``, which the client retries.
 Records are evidence; corrections must arrive under a new uid, never as an
 overwrite. The ACCEPTED/DUPLICATE decision is linearizable (single winner
 under a lock), so any number of concurrent submitters stores exactly one copy.
@@ -20,6 +23,7 @@ under a lock), so any number of concurrent submitters stores exactly one copy.
 
 from __future__ import annotations
 
+import re
 import socket
 import socketserver
 import threading
@@ -44,7 +48,8 @@ __all__ = [
     "TransientStoreError", "DeliveryError", "make_envelope", "encode_envelope",
     "decode_envelope", "envelope_to_line", "envelope_from_line", "Hub",
     "submit_batch", "InProcessClient", "TcpClient", "HubServer",
-    "write_spool", "RETRY_BASE_SECONDS", "RETRY_FACTOR", "RETRY_MAX_ATTEMPTS",
+    "write_spool", "is_plain_name", "RETRY_BASE_SECONDS", "RETRY_FACTOR",
+    "RETRY_MAX_ATTEMPTS",
 ]
 
 SCHEMA_VERSION = 1
@@ -52,6 +57,7 @@ MAX_FRAME_BYTES = 1 << 20
 RETRY_BASE_SECONDS = 0.1
 RETRY_FACTOR = 2
 RETRY_MAX_ATTEMPTS = 5
+_PLAIN_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 class EnvelopeKind(Enum):
@@ -117,11 +123,22 @@ class DeliveryError(RuntimeError):
         self.undelivered = undelivered
 
 
+def is_plain_name(name: str) -> bool:
+    """Whether ``name`` may be a site id: an ASCII letter or digit followed by
+    ASCII letters, digits, ``.``, ``_`` or ``-``. Such a name is a file name
+    of its own, never a path."""
+    return isinstance(name, str) and _PLAIN_NAME.fullmatch(name) is not None
+
+
+def _idempotency_key(site_id: str, kind: EnvelopeKind, record) -> str:
+    return f"{site_id}/{kind.name}/{_KINDS[kind].uid(record)}"
+
+
 def make_envelope(site_id: str, kind: EnvelopeKind, record,
                   created_at: datetime) -> Envelope:
     payload = canonical_encode(record)
     digest = digest_text(payload)
-    key = f"{site_id}/{kind.name}/{_KINDS[kind].uid(record)}"
+    key = _idempotency_key(site_id, kind, record)
     return Envelope(
         envelope_id=digest_text(key + "|" + digest)[:16],
         site_id=site_id,
@@ -265,6 +282,9 @@ class Hub:
             self._fail_budget = n
 
     def ingest(self, e: Envelope) -> Ack:
+        if not is_plain_name(e.site_id):
+            return Ack(e.envelope_id, AckStatus.REJECTED,
+                       f"site_id {e.site_id!r} is not a plain name")
         try:
             _check_envelope(e)
             record = canonical_decode(e.payload, _KINDS[e.kind].payload)
@@ -272,6 +292,10 @@ class Hub:
             return Ack(e.envelope_id, AckStatus.REJECTED, str(err))
         except CanonError as err:
             return Ack(e.envelope_id, AckStatus.REJECTED, f"undecodable payload: {err}")
+        key = _idempotency_key(e.site_id, e.kind, record)
+        if e.idempotency_key != key:
+            return Ack(e.envelope_id, AckStatus.REJECTED,
+                       f"idempotency_key {e.idempotency_key!r} is not {key!r}")
         problems = _KINDS[e.kind].validate(record)
         if problems:
             return Ack(e.envelope_id, AckStatus.REJECTED, "; ".join(problems))

@@ -35,7 +35,8 @@ from labelloop.harness import (
 )
 from labelloop.model import FindingCode, box, region_iou
 from labelloop.monitoring import (
-    AlertKind, MonitorConfig, PrevalenceProfile, replay_events,
+    PREVALENCE_CALIBRATION, PREVALENCE_WINDOW, AlertKind, PrevalenceProfile,
+    replay_events,
 )
 from labelloop.protocol import (
     AckStatus, AlertAck, EnvelopeKind, Hub, InProcessClient, decode_envelope,
@@ -332,14 +333,12 @@ def test_criterion_5_drift_detection_targets(capsys):
         mean_alarms = sum(alarm_counts) / DRIFT_SEEDS
         assert mean_alarms <= FALSE_ALARM_MEAN_MAX
 
-        config = MonitorConfig()
         mix = make_scenario().case_mix
         window_alarms = 0
         for seed in range(DRIFT_SEEDS):
             rng = random.Random(f"c5c|{seed}")
-            profile = PrevalenceProfile(f"site{seed}", config)
-            n = config.prevalence_calibration + \
-                PREVALENCE_WINDOWS * config.prevalence_window
+            profile = PrevalenceProfile(f"site{seed}")
+            n = PREVALENCE_CALIBRATION + PREVALENCE_WINDOWS * PREVALENCE_WINDOW
             at = T0
             for _ in range(n):
                 codes = {FindingCode[c] for c, p in mix.items()

@@ -12,6 +12,8 @@ Each defaulted parameter of a public function, or of a public method or
 ``__init__`` of a public class, must likewise be passed, by keyword or by
 enough positional arguments, by some call there spelled with the function's
 name (the class's for ``__init__``); an option no caller sets is dead code.
+A defaulted field of a public dataclass counts as a parameter of the
+generated ``__init__``, at its position in field order.
 """
 
 import ast
@@ -106,17 +108,40 @@ ALLOWED_DEFAULTS = {
     "cli.cmd_report(err)": "captures diagnostics in a test",
     "cli.main(argv)": "argparse reads sys.argv when it is None",
     "harness.make_scenario(n_algorithms)": "the one-algorithm drill scenarios",
-    "monitoring.replay_events(config)": "the tuning harness varies h",
+    "harness.DriftEvent.__init__(code)": "read from scenario files",
+    "harness.DriftEvent.__init__(new_probability)": "read from scenario files",
+    "harness.DriftEvent.__init__(new_sigma)": "read from scenario files",
+    "harness.ScenarioAssertions.__init__(expect_no_alerts)": "read from scenario files",
+    "monitoring.replay_events(h)": "the tuning harness varies h",
     "protocol.Hub.stored_count(key)": "a test asks whether one key is stored",
     "protocol.submit_batch(sleep)": "tests record the backoff without sleeping",
 }
 
 
+def _has_default(value: ast.expr | None) -> bool:
+    """Whether a dataclass field's right-hand side gives it a default; a
+    bare ``field(...)`` gives none."""
+    if value is None:
+        return False
+    if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "field"):
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return True
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass"
+               for d in node.decorator_list)
+
+
 def defaulted_parameters(path: Path):
     """(qualified name, name a call spells, parameter, positional index or
     None for keyword-only) of each defaulted parameter of a public function,
-    or of a public method or ``__init__`` of a public class; the index leaves
-    out ``self``."""
+    of a public method or ``__init__`` of a public class, or of the
+    ``__init__`` a public dataclass generates; the index leaves out
+    ``self``."""
     def params(fn, spelled, owner, method):
         positional = fn.args.posonlyargs + fn.args.args
         if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
@@ -137,6 +162,12 @@ def defaulted_parameters(path: Path):
         if isinstance(node, functions):
             yield from params(node, node.name, f"{path.stem}.{node.name}", False)
         else:
+            if _is_dataclass(node):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+                for index, item in enumerate(fields):
+                    if _has_default(item.value):
+                        yield (f"{path.stem}.{node.name}.__init__({item.target.id})",
+                               node.name, item.target.id, index)
             for item in node.body:
                 if isinstance(item, functions) and (
                         item.name == "__init__" or not item.name.startswith("_")):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from labelloop.canon import canonical_encode
 from labelloop.deid import (
-    REDACTION, DeidAction, DeidPolicy, PolicyError, _b32_of_10_bytes, _scrubber,
+    REDACTION, DeidPolicy, PolicyError, _b32_of_10_bytes, _scrubber,
     date_shift_days, default_policy, deidentify_study, pseudonymize,
     verify_deidentified,
 )
@@ -146,18 +146,15 @@ def test_anchors_survive_scrubbing():
     assert hyperlinked[0].region.x0 == 10
 
 
-def test_policy_missing_field_rejected():
-    actions = default_policy(SECRET).actions
-    del actions["birth_date"]
-    with pytest.raises(PolicyError, match="birth_date"):
-        DeidPolicy(actions, SECRET).validate()
-
-
-def test_policy_wrong_action_rejected():
-    actions = default_policy(SECRET).actions
-    actions["patient_id"] = DeidAction.KEEP
-    with pytest.raises(PolicyError, match="patient_id"):
-        DeidPolicy(actions, SECRET).validate()
+def test_policy_keeps_the_secret_out_of_repr_and_canon():
+    policy = default_policy(b"site-secret-bytes")
+    policy.validate()
+    assert "site-secret" not in repr(policy) + canonical_encode(policy)
+    with pytest.raises(PolicyError, match="site_secret"):
+        DeidPolicy(b"").validate()
+    study, report = make_study()
+    with pytest.raises(PolicyError, match="site_secret"):
+        deidentify_study(study, [report], DeidPolicy(b""), now=WHEN)
 
 
 names = st.sampled_from([
@@ -231,7 +228,9 @@ def test_receipt_holds_no_phi():
     _, _, receipt = deidentify_study(study, [report], policy, now=WHEN)
     assert [f.name for f in dataclasses.fields(receipt)] == [
         "fields_transformed", "performed_at"]
-    assert receipt.fields_transformed == sorted(policy.actions)
+    assert receipt.fields_transformed == [
+        "accession_number", "acquired_at", "birth_date", "body", "order_text",
+        "patient_id", "patient_name"]
     assert receipt.performed_at == WHEN
     shown = repr(receipt) + canonical_encode(receipt)
     for token in study.identity.phi_tokens + [study.identity.accession_number]:

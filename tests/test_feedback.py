@@ -154,7 +154,7 @@ def test_ledger_empty_group_absent_ratios():
 def _agreement(tp=0, fp=0, fn=0, unverified=0, site="A", alg="cad", ver="1.0",
                study="S1"):
     from labelloop.feedback import StudyAgreement
-    return StudyAgreement(study, alg, ver, site, tp, fp, fn, unverified, [])
+    return StudyAgreement(study, alg, ver, site, tp, fp, fn, unverified)
 
 
 def test_ledger_matches_recount_oracle():

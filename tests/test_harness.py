@@ -19,7 +19,7 @@ from labelloop.harness import (
     run_scenario, save_scenario, simulate_algorithm, validate_scenario,
 )
 from labelloop.model import FindingCode, Measurement, Unit, box
-from labelloop.monitoring import AlertKind, MonitorConfig
+from labelloop.monitoring import AlertKind
 from labelloop.protocol import (
     Envelope, EnvelopeKind, Hub, HubServer, TcpClient, submit_batch,
 )
@@ -202,6 +202,13 @@ class TestScenarioConfig:
         problems = validate_scenario(bad)
         assert any("drift_events[0].algorithm_id" in p for p in problems)
 
+    def test_site_id_that_is_not_a_plain_name_is_rejected(self):
+        cfg = tiny_config()
+        bad = dataclasses.replace(
+            cfg, sites=[dataclasses.replace(cfg.sites[0], site_id="../escaped")])
+        assert validate_scenario(bad) == [
+            "sites[0].site_id: '../escaped' is not a plain name"]
+
     def test_file_round_trip(self, tmp_path):
         cfg = make_scenario()
         path = tmp_path / "scenario.json"
@@ -276,15 +283,15 @@ class TestRunScenario:
 
 @pytest.fixture(scope="module")
 def drifted():
-    cfg = make_scenario(seed=808, n_sites=3, n_studies=350)
+    cfg = make_scenario(seed=808, n_sites=3, n_studies=700)
     cfg = dataclasses.replace(
         cfg,
-        drift_events=[DriftEvent(at_study=150,
+        drift_events=[DriftEvent(at_study=400,
                                  kind=DriftKind.SENSITIVITY_DROP,
                                  algorithm_id="cad-1",
                                  new_sensitivity=0.45)],
         assertions=ScenarioAssertions(alert_within_events=300))
-    return cfg, run_scenario(cfg, MonitorConfig(n0=200))
+    return cfg, run_scenario(cfg)
 
 
 class TestDriftDelivery:
@@ -308,20 +315,19 @@ class TestDriftDelivery:
 
     def test_prevalence_shift_gets_an_external_delay_row(self):
         cfg = dataclasses.replace(
-            tiny_config(n_studies=400, sites=1),
-            drift_events=[DriftEvent(at_study=200, kind=DriftKind.PREVALENCE_SHIFT,
+            tiny_config(n_studies=1400, sites=1),
+            drift_events=[DriftEvent(at_study=1100, kind=DriftKind.PREVALENCE_SHIFT,
                                      code="HEMORRHAGE", new_probability=0.7)])
-        result = run_scenario(cfg, MonitorConfig(prevalence_calibration=100,
-                                                 prevalence_window=100))
+        result = run_scenario(cfg)
         external = [d for d in result.bundle.delays if d.kind == "EXTERNAL_DRIFT"]
         assert [(d.site_id, d.algorithm_id, d.version) for d in external] == [
             (cfg.sites[0].site_id, "-", "-")]
         row = external[0]
-        assert row.change_index == 200
-        assert row.delay == row.alert_index - 200 and 0 < row.delay <= 100
+        assert row.change_index == 1100
+        assert row.delay == row.alert_index - 1100 and 0 < row.delay <= 100
         assert row.false_alarms == sum(
             1 for a in result.bundle.alerts
-            if a.kind is AlertKind.EXTERNAL_DRIFT and a.evidence.event_index <= 200)
+            if a.kind is AlertKind.EXTERNAL_DRIFT and a.evidence.event_index <= 1100)
 
     def test_fan_out_reaches_running_sites_and_developer_once(self, drifted):
         cfg, result = drifted

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from labelloop.canon import canonical_decode, canonical_encode
-from labelloop import feedback
 from labelloop.feedback import StudyAgreement
 from labelloop.model import FindingCode
 from labelloop.monitoring import (
@@ -13,15 +12,15 @@ from labelloop.monitoring import (
     AlertKind,
     AlertSeverity,
     AgreementStream,
-    CusumState,
-    InputError,
-    MonitorConfig,
+    DEFAULT_CUSUM_H,
     MonitoringEngine,
+    N0,
     P0_FLOOR,
+    PREVALENCE_CALIBRATION,
+    PREVALENCE_WINDOW,
     PrevalenceProfile,
     cusum_step,
     events_of,
-    propagate_alert,
     replay_events,
 )
 from labelloop.registry import AuditAction, Registry
@@ -32,15 +31,14 @@ AT = datetime(2024, 3, 1, tzinfo=timezone.utc)
 def agreement(tp=0, fp=0, fn=0, unverified=0, site="siteA", alg="lung-cad", ver="2.1.0"):
     return StudyAgreement(
         study_uid="S1", algorithm_id=alg, version=ver, site_id=site,
-        tp=tp, fp=fp, fn=fn, unverified=unverified, pairs=(),
+        tp=tp, fp=fp, fn=fn, unverified=unverified,
     )
 
 
-def calibrated_stream(p0=0.9, config=None, seed=7):
-    config = config or MonitorConfig()
-    stream = AgreementStream("siteA", "lung-cad", "2.1.0", config)
+def calibrated_stream(p0=0.9, seed=7):
+    stream = AgreementStream("siteA", "lung-cad", "2.1.0")
     rng = random.Random(seed)
-    for _ in range(config.n0):
+    for _ in range(N0):
         stream.observe_event(1 if rng.random() < p0 else 0, AT)
     assert stream.p0 is not None
     return stream
@@ -48,37 +46,34 @@ def calibrated_stream(p0=0.9, config=None, seed=7):
 
 class TestCusumStep:
     def test_disagreement_accumulates(self):
-        state = CusumState(0.0, k=0.05, h=2.0)
-        state, fired = cusum_step(state, 0, p0=0.9)
-        assert state.s_plus == pytest.approx(0.85)
-        assert not fired
+        s_plus, fired = cusum_step(0.0, 0, p0=0.9, h=2.0)
+        assert s_plus == pytest.approx(0.85)
+        assert fired is None
 
     def test_agreement_drains(self):
-        state = CusumState(0.5, k=0.05, h=2.0)
-        state, fired = cusum_step(state, 1, p0=0.9)
-        assert state.s_plus == pytest.approx(0.35)
-        assert not fired
+        s_plus, fired = cusum_step(0.5, 1, p0=0.9, h=2.0)
+        assert s_plus == pytest.approx(0.35)
+        assert fired is None
 
     def test_floor_at_zero(self):
-        state = CusumState(0.0, k=0.05, h=2.0)
-        state, _ = cusum_step(state, 1, p0=0.9)
-        assert state.s_plus == 0.0
+        s_plus, _ = cusum_step(0.0, 1, p0=0.9, h=2.0)
+        assert s_plus == 0.0
 
     def test_hand_stepped_fire_and_reset(self):
         # at p0 = 0.9 each disagreement adds 0.85, so a run of them
-        # crosses h = 2.0 on the third step
-        state = CusumState(0.0, k=0.05, h=2.0)
+        # crosses h = 2.0 on the third step, with the statistic 2.55
+        s_plus = 0.0
         fires = []
         for i in range(1, 5):
-            state, fired = cusum_step(state, 0, p0=0.9)
-            if fired:
-                fires.append(i)
-                assert state.s_plus == 0.0
-        assert fires == [3]
+            s_plus, fired = cusum_step(s_plus, 0, p0=0.9, h=2.0)
+            if fired is not None:
+                fires.append((i, fired))
+                assert s_plus == 0.0
+        assert fires == [(3, pytest.approx(2.55))]
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
-            cusum_step(CusumState(0.0, 0.05, 2.0), 2, p0=0.9)
+            cusum_step(0.0, 2, p0=0.9, h=2.0)
 
     @given(
         xs=st.lists(st.integers(min_value=0, max_value=1), max_size=60),
@@ -86,14 +81,14 @@ class TestCusumStep:
     )
     @settings(max_examples=200, deadline=None)
     def test_s_plus_never_negative_and_reset_on_fire(self, xs, p0):
-        state = CusumState(0.0, k=0.05, h=2.0)
+        s_plus = 0.0
         for x in xs:
-            state, fired = cusum_step(state, x, p0)
-            assert state.s_plus >= 0.0
-            if fired:
-                assert state.s_plus == 0.0
+            s_plus, fired = cusum_step(s_plus, x, p0, h=2.0)
+            assert s_plus >= 0.0
+            if fired is not None:
+                assert s_plus == 0.0 and fired > 2.0
             else:
-                assert state.s_plus <= state.h + 1e-12
+                assert s_plus <= 2.0 + 1e-12
 
 
 class TestEventDecomposition:
@@ -109,19 +104,20 @@ class TestEventDecomposition:
     )
     @settings(max_examples=100, deadline=None)
     def test_unverified_never_touches_stream_state(self, tp, fp, fn, unverified):
-        a = AgreementStream("siteA", "lung-cad", "2.1.0")
-        b = AgreementStream("siteA", "lung-cad", "2.1.0")
-        a.observe_study(agreement(tp=tp, fp=fp, fn=fn, unverified=0), AT)
-        b.observe_study(agreement(tp=tp, fp=fp, fn=fn, unverified=unverified), AT)
-        assert a.cusum == b.cusum
-        assert a.event_count == b.event_count
-        assert a._calibration_ones == b._calibration_ones
+        a = MonitoringEngine()
+        b = MonitoringEngine()
+        a.observe_agreement(agreement(tp=tp, fp=fp, fn=fn, unverified=0), AT)
+        b.observe_agreement(agreement(tp=tp, fp=fp, fn=fn, unverified=unverified), AT)
+        [sa], [sb] = a.streams.values(), b.streams.values()
+        assert sa.s_plus == sb.s_plus
+        assert sa.event_count == sb.event_count
+        assert sa._calibration_ones == sb._calibration_ones
 
 
 class TestAgreementStream:
     def test_no_alerts_during_calibration(self):
         stream = AgreementStream("siteA", "lung-cad", "2.1.0")
-        for _ in range(stream.config.n0 - 1):
+        for _ in range(N0 - 1):
             assert stream.observe_event(0, AT) is None
         assert stream.p0 is None
 
@@ -132,19 +128,10 @@ class TestAgreementStream:
         assert stream.p0 == frozen
 
     def test_p0_floor(self):
-        cfg = MonitorConfig(n0=10)
-        stream = AgreementStream("siteA", "lung-cad", "2.1.0", cfg)
-        for _ in range(10):
+        stream = AgreementStream("siteA", "lung-cad", "2.1.0")
+        for _ in range(N0):
             stream.observe_event(0, AT)
         assert stream.p0 == P0_FLOOR
-
-    def test_key_mismatch_rejected(self):
-        stream = AgreementStream("siteA", "lung-cad", "2.1.0")
-        with pytest.raises(InputError):
-            stream.observe_study(agreement(tp=1, site="siteB"), AT)
-
-    def test_input_error_is_the_feedback_class(self):
-        assert InputError is feedback.InputError
 
     def test_drop_fires_with_evidence(self):
         stream = calibrated_stream(p0=0.9)
@@ -160,15 +147,14 @@ class TestAgreementStream:
         assert alert.kind is AlertKind.INTERNAL_DRIFT
         assert alert.severity is AlertSeverity.CRITICAL
         assert alert.evidence.statistic > alert.evidence.threshold
-        assert alert.evidence.threshold == stream.config.h
+        assert alert.evidence.threshold == DEFAULT_CUSUM_H
         assert alert.evidence.p0 == stream.p0
         assert alert.evidence.observed_rate < stream.p0 - 0.2
 
     def test_mild_drop_is_warn(self):
         # drop smaller than CRITICAL_DROP below p0 keeps severity at WARN
-        cfg = MonitorConfig(n0=100, window=50)
-        stream = AgreementStream("siteA", "lung-cad", "2.1.0", cfg)
-        for _ in range(100):
+        stream = AgreementStream("siteA", "lung-cad", "2.1.0")
+        for _ in range(N0):
             stream.observe_event(1, AT)
         assert stream.p0 == 1.0
         pattern = [1, 1, 1, 1, 1, 1, 1, 1, 0]  # ~0.89 observed rate
@@ -224,10 +210,10 @@ class TestReplayTargets:
         assert total / 5 <= 1.0
 
     def test_h2_would_false_alarm_constantly(self):
-        # the reason the default h is 8.0 and not 2.0
+        # the reason the default h is 10.0 and not 2.0
         rng = random.Random(23)
         events = [1 if rng.random() < 0.9 else 0 for _ in range(10_000)]
-        assert len(replay_events(events, MonitorConfig(h=2.0))) > 10
+        assert len(replay_events(events, 2.0)) > 10
 
 
 def feed_profile(profile, dist, n, rng):
@@ -258,28 +244,25 @@ BASE_MIX = [
 ]
 
 
-SHORT_CAL = MonitorConfig(prevalence_calibration=200)
-
-
 class TestPrevalenceProfile:
     def test_stable_mix_stays_quiet(self):
         profile = PrevalenceProfile("siteA")
         rng = random.Random(5)
-        n0 = profile.config.prevalence_calibration
-        alerts = feed_profile(profile, BASE_MIX, n0 + 10 * 200, rng)
+        n = PREVALENCE_CALIBRATION + 10 * PREVALENCE_WINDOW
+        alerts = feed_profile(profile, BASE_MIX, n, rng)
         assert alerts == []
         assert profile.checks_run == 10
 
     def test_shifted_mix_fires(self):
-        profile = PrevalenceProfile("siteA", SHORT_CAL)
+        profile = PrevalenceProfile("siteA")
         rng = random.Random(6)
-        feed_profile(profile, BASE_MIX, 200, rng)  # calibration
+        feed_profile(profile, BASE_MIX, PREVALENCE_CALIBRATION, rng)
         shifted = [
             (frozenset(), 0.10),
             (frozenset({FindingCode.NODULE}), 0.60),
             (frozenset({FindingCode.HEMORRHAGE}), 0.30),
         ]
-        alerts = feed_profile(profile, shifted, 200, rng)
+        alerts = feed_profile(profile, shifted, PREVALENCE_WINDOW, rng)
         assert len(alerts) == 1
         alert = alerts[0]
         assert alert.kind is AlertKind.EXTERNAL_DRIFT
@@ -287,9 +270,10 @@ class TestPrevalenceProfile:
         assert alert.evidence.statistic > alert.evidence.threshold
 
     def test_windows_are_tumbling_not_sliding(self):
-        profile = PrevalenceProfile("siteA", SHORT_CAL)
+        profile = PrevalenceProfile("siteA")
         rng = random.Random(7)
-        feed_profile(profile, BASE_MIX, 200 + 199, rng)
+        feed_profile(profile, BASE_MIX,
+                     PREVALENCE_CALIBRATION + PREVALENCE_WINDOW - 1, rng)
         assert profile.checks_run == 0
         feed_profile(profile, BASE_MIX, 1, rng)
         assert profile.checks_run == 1
@@ -297,11 +281,12 @@ class TestPrevalenceProfile:
 
     def test_small_expected_bins_pool(self):
         # a code absent from calibration must not divide by zero
-        profile = PrevalenceProfile("siteA", SHORT_CAL)
+        profile = PrevalenceProfile("siteA")
         rng = random.Random(8)
-        feed_profile(profile, [(frozenset({FindingCode.NODULE}), 1.0)], 200, rng)
+        feed_profile(profile, [(frozenset({FindingCode.NODULE}), 1.0)],
+                     PREVALENCE_CALIBRATION, rng)
         only_rare = [(frozenset({FindingCode.HEMORRHAGE}), 1.0)]
-        alerts = feed_profile(profile, only_rare, 200, rng)
+        alerts = feed_profile(profile, only_rare, PREVALENCE_WINDOW, rng)
         assert len(alerts) == 1  # total displacement, must fire
 
 
@@ -331,7 +316,7 @@ def make_alert(kind=AlertKind.INTERNAL_DRIFT, site="siteA", alg="lung-cad", ver=
 class TestPropagation:
     def test_fan_out_to_running_sites_plus_developer(self):
         registry = FakeRegistry({"siteB", "siteA"})
-        notes = propagate_alert(make_alert(), registry, AT)
+        notes = MonitoringEngine().propagate(make_alert(), registry, AT)
         assert [n.recipient for n in notes] == ["siteA", "siteB", "developer"]
         assert all(n.alert_id == notes[0].alert_id for n in notes)
         assert len(registry.audits) == 1
@@ -340,13 +325,13 @@ class TestPropagation:
     def test_alert_audit_entry_carries_the_delivery_time(self):
         registry = Registry()
         delivered_at = AT + timedelta(hours=1)
-        propagate_alert(make_alert(), registry, delivered_at)
+        MonitoringEngine().propagate(make_alert(), registry, delivered_at)
         assert [e.timestamp for e in registry.audit] == [delivered_at]
 
     def test_external_drift_targets_origin_site_only(self):
         registry = FakeRegistry({"siteB", "siteC"})
         alert = make_alert(kind=AlertKind.EXTERNAL_DRIFT, alg="-", ver="-")
-        notes = propagate_alert(alert, registry, AT)
+        notes = MonitoringEngine().propagate(alert, registry, AT)
         assert [n.recipient for n in notes] == ["siteA", "developer"]
 
     def test_engine_propagation_idempotent(self):

@@ -261,6 +261,37 @@ def test_only_an_accepted_envelope_claims_its_key():
     assert hub.records(EnvelopeKind.LABELSET) == [labelset("R1", "S1")]
 
 
+def test_an_envelope_claiming_another_key_is_rejected():
+    e = env_of(labelset("R3", "S3"))
+    forged = dataclasses.replace(e, idempotency_key="siteB/STUDY/whatever")
+    hub = Hub()
+    ack = hub.ingest(forged)
+    assert ack.status is AckStatus.REJECTED
+    assert ack.reason == ("idempotency_key 'siteB/STUDY/whatever' is not "
+                          "'siteA/LABELSET/R3'")
+    assert hub.stored_count() == 0
+    assert hub.ingest(e).status is AckStatus.ACCEPTED
+
+
+def test_a_site_id_that_is_a_path_writes_nothing_outside_the_spool(tmp_path):
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    hub = Hub(spool_dir=spool)
+    ack = hub.ingest(env_of(site="../escaped"))
+    assert ack.status is AckStatus.REJECTED
+    assert ack.reason == "site_id '../escaped' is not a plain name"
+    assert hub.stored_count() == 0
+    assert sorted(tmp_path.rglob("*")) == [spool]
+
+
+def test_a_site_id_with_a_lone_surrogate_gets_an_ack(tmp_path):
+    e = dataclasses.replace(env_of(), site_id="s\ud800")
+    ack = Hub(spool_dir=tmp_path).ingest(e)
+    assert ack.status is AckStatus.REJECTED
+    assert ack.reason == "site_id 's\\ud800' is not a plain name"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_hub_keeps_one_copy_of_each_envelope():
     cfg = make_scenario(seed=515, n_sites=3, n_studies=200, drift=False)
     envelopes = run_scenario(cfg).hub.envelopes()
@@ -286,12 +317,15 @@ def test_hub_keeps_one_copy_of_each_envelope():
     # acceptance order; duplicates, rejections and conflicts add none
     hub = Hub()
     labelsets = [e for e in envelopes if e.kind is EnvelopeKind.LABELSET]
-    conflict = _forged(labelsets[0], labelsets[1].payload)
+    claimed = next(e for e in labelsets if canonical_decode(e.payload, LabelSet).labels)
+    # the same report's label set emptied: its own key, another digest
+    conflict = _forged(claimed, canonical_encode(dataclasses.replace(
+        canonical_decode(claimed.payload, LabelSet), labels=[])))
     undecodable = _forged(labelsets[2], "{}")  # under a key not yet accepted
     for e in envelopes:
         assert hub.ingest(e).status is AckStatus.ACCEPTED
         assert hub.ingest(e).status is AckStatus.DUPLICATE
-        if e is labelsets[0]:
+        if e is claimed:
             assert hub.ingest(conflict).reason == "idempotency conflict"
             assert hub.ingest(undecodable).status is AckStatus.REJECTED
     assert hub.stored_count() == len(envelopes)
