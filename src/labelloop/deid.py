@@ -40,10 +40,12 @@ __all__ = [
     "DeidPolicy", "DeidReceipt", "PolicyError", "Leak",
     "pseudonymize", "date_shift_days", "default_policy", "deidentify_study",
     "verify_deidentified", "secret_from_env", "SECRET_ENV_VAR", "REDACTION",
+    "MAX_DATE_SHIFT_DAYS",
 ]
 
 SECRET_ENV_VAR = "LABELLOOP_SITE_SECRET"
 REDACTION = "[REDACTED]"
+MAX_DATE_SHIFT_DAYS = 182
 
 
 class PolicyError(ValueError):
@@ -121,7 +123,8 @@ def pseudonymize(site_secret: bytes, scope: str, value: str) -> str:
 def date_shift_days(site_secret: bytes, patient_id: str) -> int:
     """Per-patient constant offset in [-182, +182] days."""
     mac = hmac.digest(site_secret, patient_id.encode("utf-8"), "sha256")
-    return int.from_bytes(mac[:4], "big") % 365 - 182
+    span = 2 * MAX_DATE_SHIFT_DAYS + 1
+    return int.from_bytes(mac[:4], "big") % span - MAX_DATE_SHIFT_DAYS
 
 
 def _regex_scrubber(tokens: set[str]):

@@ -35,7 +35,10 @@ from .canon import (
     canonical_decode, canonical_digest, canonical_encode, digest_text,
     format_datetime, format_float, write_lines,
 )
-from .deid import SECRET_ENV_VAR, default_policy, deidentify_study, secret_from_env
+from .deid import (
+    MAX_DATE_SHIFT_DAYS, SECRET_ENV_VAR, default_policy, deidentify_study,
+    secret_from_env,
+)
 from .feedback import (
     AlgorithmOutput, Detection, ExecutionMode, StudyAgreement,
     aggregate_metrics, match_detections, score_study,
@@ -71,6 +74,13 @@ __all__ = [
 ]
 
 T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
+# a site's first study is this much later than the previous site's
+_SITE_OFFSET_S = 600
+# a study is reported, and its envelopes sent, this long after acquisition
+_REPORT_DELAY_S = 5400
+# the last second canon can write, counted from T0
+_CALENDAR_END_S = (datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc) - T0) \
+    // timedelta(seconds=1)
 _ACK_BUCKETS = {AckStatus.ACCEPTED: "accepted", AckStatus.DUPLICATE: "duplicates",
                 AckStatus.REJECTED: "rejected"}
 
@@ -180,6 +190,20 @@ def _check_rates(problems: list[str], path: str, rates: dict[str, float]) -> Non
         _check_prob(problems, f"{path}[{key!r}]", p)
 
 
+def _step_seconds(case_rate: float) -> int:
+    return max(1, round(86400.0 / case_rate))
+
+
+def _latest_second(ordinal: int, n_studies: int, case_rate: float) -> float:
+    """Seconds after T0 past which nothing of a site's run is dated: its last
+    study's report time, plus the largest date shift de-identification may
+    add to the acquisition time."""
+    if 86400.0 / case_rate > _CALENDAR_END_S:
+        return math.inf  # the step alone overflows the calendar
+    return (ordinal * _SITE_OFFSET_S + (n_studies - 1) * _step_seconds(case_rate)
+            + _REPORT_DELAY_S + MAX_DATE_SHIFT_DAYS * 86400)
+
+
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     problems: list[str] = []
     if not (0 <= cfg.seed < 2 ** 64):
@@ -194,8 +218,11 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         base = f"sites[{i}]"
         if not is_plain_name(site.site_id):
             problems.append(f"{base}.site_id: {site.site_id!r} is not a plain name")
-        if site.case_rate <= 0:
+        if not site.case_rate > 0:
             problems.append(f"{base}.case_rate: must be positive")
+        elif _latest_second(i, cfg.n_studies, site.case_rate) > _CALENDAR_END_S:
+            problems.append(f"{base}.case_rate: {site.case_rate!r} is too low to date "
+                            f"{cfg.n_studies} studies before the year 10000")
         prof = site.radiologist
         _check_rates(problems, f"{base}.radiologist.sensitivity", prof.sensitivity)
         _check_prob(problems, f"{base}.radiologist.hyperlink_rate", prof.hyperlink_rate)
@@ -207,6 +234,9 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         problems.append("algorithms: (algorithm_id, version) must be unique")
     for i, alg in enumerate(cfg.algorithms):
         base = f"algorithms[{i}]"
+        for name in ("algorithm_id", "version"):
+            if not is_plain_name(getattr(alg, name)):
+                problems.append(f"{base}.{name}: {getattr(alg, name)!r} is not a plain name")
         _check_rates(problems, f"{base}.profile.sensitivity", alg.profile.sensitivity)
         if alg.profile.fp_per_study < 0:
             problems.append(f"{base}.profile.fp_per_study: must be >= 0")
@@ -321,10 +351,11 @@ class _SiteState:
         self.patients: list[_Patient] = []
         self.serial = 0
         self.study_serial = 0
-        self.step_seconds = max(1, round(86400.0 / site.case_rate))
+        self.step_seconds = _step_seconds(site.case_rate)
 
     def study_time(self, index: int) -> datetime:
-        return T0 + timedelta(seconds=self.ordinal * 600 + index * self.step_seconds)
+        return T0 + timedelta(
+            seconds=self.ordinal * _SITE_OFFSET_S + index * self.step_seconds)
 
 
 def _new_patient(state: _SiteState, rng: random.Random) -> _Patient:
@@ -740,7 +771,7 @@ class _Run:
     def generate(self, s: _Study) -> None:
         s.study, s.truth = generate_case(self.rngs[s.sid, "case"],
                                          s.state.case_mix, s.state)
-        s.at = s.study.acquired_at + timedelta(seconds=5400)
+        s.at = s.study.acquired_at + timedelta(seconds=_REPORT_DELAY_S)
         self.phi_tokens.extend(s.study.identity.phi_tokens)
 
     def report(self, s: _Study) -> None:

@@ -5,17 +5,20 @@ Transport framing is a 4-byte big-endian length, at most
 canonical line); client and server read frames through one reader. The same
 line, unframed, is what spool files (`*.env.jsonl`) carry, one envelope per
 line, when ``labelloop hub --spool`` keeps the accepted envelopes.
+``HubServer`` serves every peer from one thread, at most ``MAX_CONNECTIONS``
+at once.
 
 Ingestion semantics per idempotency_key:
     first presentation             -> ACCEPTED, payload persisted
     re-presentation, same digest   -> DUPLICATE, no second write
     re-presentation, new digest    -> REJECTED "idempotency conflict"
-The hub derives the key from the envelope's site, kind and payload uid, and
-needs the site id to be a plain name (``is_plain_name``). That fault, a
-claimed key that differs, and every other fault in a frame or an envelope
-(size, version, digest, payload shape or content) are answered by a
-REJECTED ack that names it; ``Hub.ingest`` raises only
-``TransientStoreError``, which the client retries.
+The hub derives the key from the envelope's site, kind and payload uid. It
+needs the site id, and the algorithm id and version inside an ALG_OUTPUT
+uid, to be plain names (``is_plain_name``), and a record that names a site
+to name the envelope's own. Those faults, a claimed key that differs, and
+every other fault in a frame or an envelope (size, version, digest, payload
+shape or content) are answered by a REJECTED ack that names it;
+``Hub.ingest`` raises only ``TransientStoreError``, which the client retries.
 Records are evidence; corrections must arrive under a new uid, never as an
 overwrite. The ACCEPTED/DUPLICATE decision is linearizable (single winner
 under a lock), so any number of concurrent submitters stores exactly one copy.
@@ -24,8 +27,9 @@ under a lock), so any number of concurrent submitters stores exactly one copy.
 from __future__ import annotations
 
 import re
+import selectors
 import socket
-import socketserver
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -43,7 +47,8 @@ from .reports import (
 )
 
 __all__ = [
-    "SCHEMA_VERSION", "MAX_FRAME_BYTES", "EnvelopeKind", "AckStatus", "Envelope",
+    "SCHEMA_VERSION", "MAX_FRAME_BYTES", "MAX_CONNECTIONS",
+    "MAX_UNSENT_ACK_BYTES", "EnvelopeKind", "AckStatus", "Envelope",
     "Ack", "AlertAck", "FrameError", "IntegrityError", "VersionError",
     "TransientStoreError", "DeliveryError", "make_envelope", "encode_envelope",
     "decode_envelope", "envelope_to_line", "envelope_from_line", "Hub",
@@ -54,6 +59,14 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 MAX_FRAME_BYTES = 1 << 20
+# peers a HubServer serves at once, far above any real site count; a
+# connection beyond them is closed unread
+MAX_CONNECTIONS = 64
+# a peer is not read while more of its acks than this wait to be sent; as
+# every complete frame is answered after each recv, its input buffer never
+# holds more than one frame and one recv
+MAX_UNSENT_ACK_BYTES = 1 << 16
+_RECV_BYTES = 1 << 16
 RETRY_BASE_SECONDS = 0.1
 RETRY_FACTOR = 2
 RETRY_MAX_ATTEMPTS = 5
@@ -124,9 +137,10 @@ class DeliveryError(RuntimeError):
 
 
 def is_plain_name(name: str) -> bool:
-    """Whether ``name`` may be a site id: an ASCII letter or digit followed by
-    ASCII letters, digits, ``.``, ``_`` or ``-``. Such a name is a file name
-    of its own, never a path."""
+    """Whether ``name`` may be a site id, an algorithm id or a version: an
+    ASCII letter or digit followed by ASCII letters, digits, ``.``, ``_`` or
+    ``-``. Such a name is a file name of its own, never a path, and holds no
+    ``:`` or ``/`` to blur the parts of an idempotency key."""
     return isinstance(name, str) and _PLAIN_NAME.fullmatch(name) is not None
 
 
@@ -176,9 +190,22 @@ def envelope_from_line(line: str) -> Envelope:
     return e
 
 
-def encode_envelope(e: Envelope) -> bytes:
-    body = envelope_to_line(e).encode("utf-8")
+def _frame(line: str) -> bytes:
+    body = line.encode("utf-8")
     return len(body).to_bytes(4, "big") + body
+
+
+def _frame_size(header: bytes | bytearray) -> int:
+    """The size, prefix included, of the frame whose first 4 or more bytes
+    are ``header``; ``FrameError`` if it declares over ``MAX_FRAME_BYTES``."""
+    n = int.from_bytes(header[:4], "big")
+    if n > MAX_FRAME_BYTES:
+        raise FrameError(f"frame length {n} exceeds the {MAX_FRAME_BYTES}-byte limit")
+    return 4 + n
+
+
+def encode_envelope(e: Envelope) -> bytes:
+    return _frame(envelope_to_line(e))
 
 
 def decode_envelope(frame: bytes) -> Envelope:
@@ -214,7 +241,10 @@ def _validate_labelset(ls: LabelSet) -> list[str]:
 
 
 def _validate_alg_output(out: AlgorithmOutput) -> list[str]:
-    problems = []
+    problems = [f"{name} {value!r} is not a plain name"
+                for name, value in (("algorithm_id", out.algorithm_id),
+                                    ("version", out.version))
+                if not is_plain_name(value)]
     for i, det in enumerate(out.detections):
         if not (0.0 <= det.confidence <= 1.0):
             problems.append(f"detections[{i}] confidence outside [0,1]")
@@ -236,23 +266,26 @@ def _validate_report(rep: InteractiveReport) -> list[str]:
 class _Kind(NamedTuple):
     payload: type
     uid: Callable[[object], str]  # the record's part of the idempotency key
+    site: Callable[[object], str | None]  # the site the record names, if any
     validate: Callable[[object], list[str]]
 
 
 # validate_study is looked up per call, so that a patched module binding is used
 _KINDS = {
     EnvelopeKind.STUDY: _Kind(StudyRecord, lambda r: r.study_uid,
-                              lambda r: validate_study(r)),
-    EnvelopeKind.REPORT: _Kind(InteractiveReport, lambda r: r.report_uid, _validate_report),
-    EnvelopeKind.LABELSET: _Kind(LabelSet, lambda r: r.report_uid, _validate_labelset),
+                              lambda r: r.site_id, lambda r: validate_study(r)),
+    EnvelopeKind.REPORT: _Kind(InteractiveReport, lambda r: r.report_uid,
+                               lambda r: None, _validate_report),
+    EnvelopeKind.LABELSET: _Kind(LabelSet, lambda r: r.report_uid,
+                                 lambda r: None, _validate_labelset),
     # executed mode is part of the identity: dual execution (LOCAL and
     # CENTRAL) must land under distinct keys, flagged downstream
     EnvelopeKind.ALG_OUTPUT: _Kind(
         AlgorithmOutput,
         lambda r: f"{r.study_uid}:{r.algorithm_id}:{r.version}:{r.executed.name}",
-        _validate_alg_output),
+        lambda r: None, _validate_alg_output),
     EnvelopeKind.ALERT_ACK: _Kind(AlertAck, lambda r: f"{r.alert_id}:{r.site_id}",
-                                  lambda r: []),
+                                  lambda r: r.site_id, lambda r: []),
 }
 
 
@@ -285,18 +318,23 @@ class Hub:
         if not is_plain_name(e.site_id):
             return Ack(e.envelope_id, AckStatus.REJECTED,
                        f"site_id {e.site_id!r} is not a plain name")
+        kind = _KINDS[e.kind]
         try:
             _check_envelope(e)
-            record = canonical_decode(e.payload, _KINDS[e.kind].payload)
+            record = canonical_decode(e.payload, kind.payload)
         except FrameError as err:
             return Ack(e.envelope_id, AckStatus.REJECTED, str(err))
         except CanonError as err:
             return Ack(e.envelope_id, AckStatus.REJECTED, f"undecodable payload: {err}")
+        named = kind.site(record)
+        if named is not None and named != e.site_id:
+            return Ack(e.envelope_id, AckStatus.REJECTED,
+                       f"record site_id {named!r} is not the envelope's {e.site_id!r}")
         key = _idempotency_key(e.site_id, e.kind, record)
         if e.idempotency_key != key:
             return Ack(e.envelope_id, AckStatus.REJECTED,
                        f"idempotency_key {e.idempotency_key!r} is not {key!r}")
-        problems = _KINDS[e.kind].validate(record)
+        problems = kind.validate(record)
         if problems:
             return Ack(e.envelope_id, AckStatus.REJECTED, "; ".join(problems))
         with self._lock:
@@ -390,21 +428,19 @@ class TcpClient:
 def _read_frame(sock: socket.socket) -> bytes:
     """One frame, length prefix included; ``ConnectionError`` if the peer
     closes, ``FrameError`` unread if it declares over ``MAX_FRAME_BYTES``."""
-    header = _read_exact(sock, 4)
-    n = int.from_bytes(header, "big")
-    if n > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {n} exceeds the {MAX_FRAME_BYTES}-byte limit")
-    return header + _read_exact(sock, n)
+    buf = bytearray()
+    _read_exact(sock, buf, 4)
+    _read_exact(sock, buf, _frame_size(buf))
+    return bytes(buf)
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
+def _read_exact(sock: socket.socket, buf: bytearray, n: int) -> None:
+    """Receive into ``buf`` until it holds ``n`` bytes."""
     while len(buf) < n:
         chunk = sock.recv(n - len(buf))
         if not chunk:
             raise ConnectionError("connection closed mid-frame")
         buf += chunk
-    return buf
 
 
 def submit_batch(client, envelopes: list[Envelope],
@@ -431,33 +467,165 @@ def submit_batch(client, envelopes: list[Envelope],
 # TCP server
 
 
-class _HubHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        sock = self.request  # socketserver closes it when handle returns
-        while True:
-            frame = None
-            try:
-                frame = _read_frame(sock)
-                ack = self.server.hub.ingest(decode_envelope(frame))
-            except (ConnectionError, TransientStoreError):
-                return  # a closed peer, or no ack: the client retries on a new one
-            except FrameError as err:
-                ack = Ack("", AckStatus.REJECTED, str(err))
-            out = canonical_encode(ack).encode("utf-8")
-            sock.sendall(len(out).to_bytes(4, "big") + out)
-            if frame is None:
-                return  # the body of an oversized frame was never read
+class _Peer:
+    """One connection of the serving loop."""
+
+    __slots__ = ("sock", "addr", "inbox", "outbox", "closing", "events")
+
+    def __init__(self, sock: socket.socket, addr):
+        self.sock = sock
+        self.addr = addr
+        self.inbox = bytearray()  # received bytes not yet answered
+        self.outbox = bytearray()  # acks not yet sent
+        self.closing = False  # serves no more frames; closed once the outbox is sent
+        self.events = selectors.EVENT_READ
 
 
-class HubServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+class HubServer:
+    """The hub's TCP endpoint: one ``selectors`` loop on one thread serves
+    every peer, at most ``MAX_CONNECTIONS`` at once, and closes a connection
+    beyond them unread. Each frame is answered in order with one ack, and a
+    peer is not read while more than ``MAX_UNSENT_ACK_BYTES`` of its acks wait
+    to be sent. A frame over ``MAX_FRAME_BYTES`` is answered REJECTED and its
+    connection closed unread; a ``TransientStoreError`` closes the connection
+    without an ack, so the client retries; an unexpected error is printed to
+    stderr and closes that connection only."""
 
     def __init__(self, addr: tuple[str, int], hub: Hub):
-        super().__init__(addr, _HubHandler)
         self.hub = hub
+        # create_server sets SO_REUSEADDR and raises OSError if the bind fails
+        self._listener = socket.create_server(addr)
+        self._listener.setblocking(False)
+        self.server_address = self._listener.getsockname()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
+        self._stop = False
+        self._idle = threading.Event()
+        self._idle.set()
+
+    def serve_forever(self) -> None:
+        """Serve until ``shutdown``; the connections still open are then closed."""
+        self._idle.clear()
+        try:
+            with selectors.DefaultSelector() as sel:
+                sel.register(self._listener, selectors.EVENT_READ)
+                sel.register(self._wake_r, selectors.EVENT_READ)
+                try:
+                    while not self._stop:
+                        for key, mask in sel.select():
+                            if key.data is not None:
+                                self._serve(sel, key.data, mask & selectors.EVENT_READ)
+                            elif key.fileobj is self._listener:
+                                self._accept(sel)
+                            else:
+                                self._wake_r.recv(_RECV_BYTES)
+                finally:
+                    for key in list(sel.get_map().values()):
+                        if key.data is not None:
+                            key.data.sock.close()
+        finally:
+            self._stop = False
+            self._idle.set()
 
     def serve_in_background(self) -> threading.Thread:
+        self._idle.clear()  # shutdown from here on waits for the loop
         t = threading.Thread(target=self.serve_forever, daemon=True)
         t.start()
         return t
+
+    def shutdown(self) -> None:
+        """Stop ``serve_forever`` and return once it has; safe from any
+        thread and more than once."""
+        self._stop = True
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # closed by server_close, or already full of wake-ups
+        self._idle.wait()
+
+    def server_close(self) -> None:
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.close()
+
+    def _accept(self, sel: selectors.BaseSelector) -> None:
+        try:
+            sock, addr = self._listener.accept()
+        except OSError:
+            return  # the peer gave up before it was accepted
+        # the listener and the wake-up socket are registered too
+        if len(sel.get_map()) - 2 >= MAX_CONNECTIONS:
+            sock.close()
+            return
+        sock.setblocking(False)
+        sel.register(sock, selectors.EVENT_READ, _Peer(sock, addr))
+
+    def _serve(self, sel: selectors.BaseSelector, peer: _Peer, readable: int) -> None:
+        """Read what the peer sent, answer its complete frames and send the
+        acks, as far as each can go without blocking."""
+        try:
+            if readable:
+                try:
+                    data = peer.sock.recv(_RECV_BYTES)
+                except BlockingIOError:
+                    data = None
+                except OSError:  # reset by the peer, which takes no acks either
+                    data = b""
+                    peer.outbox.clear()
+                if data == b"":
+                    peer.closing = True  # acks already due are still sent
+                elif data:
+                    peer.inbox += data
+                    self._answer(peer)
+            self._flush(peer)
+        except Exception:
+            # sys.excepthook prints the traceback to stderr and, unlike the
+            # traceback and logging modules, adds no import to the hub's start
+            print(f"hub: closing the connection from {peer.addr}", file=sys.stderr)
+            sys.excepthook(*sys.exc_info())
+            peer.closing = True
+            peer.outbox.clear()
+        if peer.closing and not peer.outbox:
+            sel.unregister(peer.sock)
+            peer.sock.close()
+            return
+        events = selectors.EVENT_WRITE if peer.outbox else 0
+        if not peer.closing and len(peer.outbox) <= MAX_UNSENT_ACK_BYTES:
+            events |= selectors.EVENT_READ
+        if events != peer.events:
+            sel.modify(peer.sock, events, peer)
+            peer.events = events
+
+    def _answer(self, peer: _Peer) -> None:
+        """Answer the complete frames in the peer's inbox, in order."""
+        inbox = peer.inbox
+        while not peer.closing and len(inbox) >= 4:
+            try:
+                end = _frame_size(inbox)
+            except FrameError as err:  # its body is never read
+                ack = Ack("", AckStatus.REJECTED, str(err))
+                peer.closing = True
+            else:
+                if len(inbox) < end:
+                    return
+                frame = bytes(inbox[:end])
+                del inbox[:end]
+                try:
+                    ack = self.hub.ingest(decode_envelope(frame))
+                except TransientStoreError:
+                    peer.closing = True  # no ack: the client retries on a new connection
+                    return
+                except FrameError as err:
+                    ack = Ack("", AckStatus.REJECTED, str(err))
+            peer.outbox += _frame(canonical_encode(ack))
+
+    @staticmethod
+    def _flush(peer: _Peer) -> None:
+        """Send what the socket takes of the outbox."""
+        if peer.outbox:
+            try:
+                del peer.outbox[:peer.sock.send(peer.outbox)]
+            except BlockingIOError:
+                pass
+            except OSError:  # the peer is gone
+                peer.closing = True
+                peer.outbox.clear()

@@ -9,6 +9,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from conftest import join_or_fail, served
 from labelloop.cli import (
     ExitCode, _resolve_override, cmd_hub, cmd_report, cmd_simulate,
     cmd_verify_audit, main,
@@ -20,8 +21,8 @@ from labelloop.harness import (
 )
 from labelloop.model import FindingCode
 from labelloop.protocol import (
-    DeliveryError, EnvelopeKind, TcpClient, envelope_from_line, make_envelope,
-    submit_batch,
+    DeliveryError, EnvelopeKind, Hub, TcpClient, envelope_from_line,
+    make_envelope, submit_batch,
 )
 from labelloop.registry import AuditAction, AuditEntry, Registry
 from labelloop.reports import ExtractedLabel, LabelSet, LabelStrength, Polarity
@@ -80,6 +81,18 @@ class TestSimulate:
         code = cmd_simulate(str(path), str(tmp_path / "out"), err=err)
         assert code is ExitCode.INVALID
         assert "sites[0].radiologist.hyperlink_rate" in err.getvalue()
+
+    def test_case_rate_too_low_for_the_calendar_is_invalid(self, tmp_path):
+        cfg = quiet_scenario(n_studies=5)
+        slow = dataclasses.replace(
+            cfg, sites=[dataclasses.replace(cfg.sites[0], case_rate=1e-300)])
+        path = tmp_path / "slow.json"
+        save_scenario(slow, path)
+        err = io.StringIO()
+        code = cmd_simulate(str(path), str(tmp_path / "out"), err=err)
+        assert code is ExitCode.INVALID
+        assert err.getvalue() == ("sites[0].case_rate: 1e-300 is too low to date "
+                                  "5 studies before the year 10000\n")
 
     def test_garbage_scenario_file_is_invalid(self, tmp_path):
         path = tmp_path / "garbage.json"
@@ -282,35 +295,54 @@ def sample_envelope(n=0):
                          LabelSet(f"R{n}", f"S{n}", [label]), T0)
 
 
+def run_hub(drive, **kwargs) -> ExitCode:
+    """``cmd_hub`` on a free port while ``drive(server)`` runs on a thread of
+    its own and then shuts the hub down. The hub must return within seconds
+    of that, so a wedged loop fails the test instead of hanging the suite."""
+    codes = []
+
+    def on_ready(server):
+        def run():
+            try:
+                drive(server)
+            finally:
+                server.shutdown()
+        threading.Thread(target=run, daemon=True).start()
+
+    hub = threading.Thread(
+        target=lambda: codes.append(cmd_hub("127.0.0.1:0", on_ready=on_ready, **kwargs)),
+        daemon=True)
+    hub.start()
+    join_or_fail(hub, "labelloop hub")
+    return codes[0]
+
+
 class TestHub:
     def test_bad_listen_string_is_invalid(self):
         err = io.StringIO()
         assert cmd_hub("nonsense", err=err) is ExitCode.INVALID
         assert "ADDR:PORT" in err.getvalue()
 
+    def test_a_port_in_use_is_transient_io(self):
+        err = io.StringIO()
+        with served(Hub()) as (host, port):
+            assert cmd_hub(f"{host}:{port}", err=err) is ExitCode.TRANSIENT_IO
+        assert f"cannot bind {host}:{port}" in err.getvalue()
+
     def test_serves_ingest_and_spools_once(self, tmp_path):
         spool = tmp_path / "spool"
         envelopes = [sample_envelope(i) for i in range(4)]
-        outcome = {}
+        acks = []
 
-        def on_ready(server):
-            def drive():
-                try:
-                    port = server.server_address[1]
-                    with TcpClient("127.0.0.1", port) as tcp:
-                        for e in envelopes + envelopes:  # duplicates too
-                            outcome.setdefault("acks", []).append(
-                                tcp.submit(e).status.name)
-                finally:
-                    server.shutdown()
-            threading.Thread(target=drive, daemon=True).start()
+        def drive(server):
+            with TcpClient(*server.server_address) as tcp:
+                for e in envelopes + envelopes:  # duplicates too
+                    acks.append(tcp.submit(e).status.name)
 
         err = io.StringIO()
-        code = cmd_hub("127.0.0.1:0", spool_dir=str(spool),
-                       on_ready=on_ready, err=err)
-        assert code is ExitCode.OK
+        assert run_hub(drive, spool_dir=str(spool), err=err) is ExitCode.OK
         assert "listening on 127.0.0.1:" in err.getvalue()
-        assert outcome["acks"] == ["ACCEPTED"] * 4 + ["DUPLICATE"] * 4
+        assert acks == ["ACCEPTED"] * 4 + ["DUPLICATE"] * 4
         # duplicates are acknowledged but never spooled
         lines = (spool / "siteZ.env.jsonl").read_text().splitlines()
         assert len(lines) == 4
@@ -324,26 +356,17 @@ class TestHub:
         e = sample_envelope()
         outcome = {}
 
-        def on_ready(server):
-            def drive():
+        def drive(server):
+            with TcpClient(*server.server_address) as tcp:
                 try:
-                    port = server.server_address[1]
-                    with TcpClient("127.0.0.1", port) as tcp:
-                        try:
-                            submit_batch(tcp, [e], sleep=lambda s: None)
-                        except DeliveryError as err:
-                            outcome["undelivered"] = err.undelivered
-                        outcome["stored"] = server.hub.stored_count()
-                        blocker.rmdir()
-                        outcome["acks"] = [a.status.name for a in
-                                           submit_batch(tcp, [e, e])]
-                finally:
-                    server.shutdown()
-            threading.Thread(target=drive, daemon=True).start()
+                    submit_batch(tcp, [e], sleep=lambda s: None)
+                except DeliveryError as err:
+                    outcome["undelivered"] = err.undelivered
+                outcome["stored"] = server.hub.stored_count()
+                blocker.rmdir()
+                outcome["acks"] = [a.status.name for a in submit_batch(tcp, [e, e])]
 
-        code = cmd_hub("127.0.0.1:0", spool_dir=str(spool), on_ready=on_ready,
-                       err=io.StringIO())
-        assert code is ExitCode.OK
+        assert run_hub(drive, spool_dir=str(spool), err=io.StringIO()) is ExitCode.OK
         assert outcome["undelivered"] == [e.envelope_id]
         assert outcome["stored"] == 0
         assert outcome["acks"] == ["ACCEPTED", "DUPLICATE"]

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import served
 from labelloop.canon import canonical_encode
 from labelloop.feedback import ExecutionMode, aggregate_metrics
 from labelloop.harness import (
@@ -21,7 +22,7 @@ from labelloop.harness import (
 from labelloop.model import FindingCode, Measurement, Unit, box
 from labelloop.monitoring import AlertKind
 from labelloop.protocol import (
-    Envelope, EnvelopeKind, Hub, HubServer, TcpClient, submit_batch,
+    Envelope, EnvelopeKind, Hub, TcpClient, submit_batch,
 )
 from labelloop.registry import AuditAction
 from labelloop.reports import LabelStrength, Polarity, extract_labels, parse_body
@@ -201,6 +202,14 @@ class TestScenarioConfig:
                        algorithm_id="ghost", new_sensitivity=0.2)])
         problems = validate_scenario(bad)
         assert any("drift_events[0].algorithm_id" in p for p in problems)
+
+    def test_algorithm_names_that_are_not_plain_are_rejected(self):
+        cfg = tiny_config()
+        bad = dataclasses.replace(cfg, algorithms=[dataclasses.replace(
+            cfg.algorithms[0], algorithm_id="x:1", version="2/b")])
+        problems = validate_scenario(bad)
+        assert "algorithms[0].algorithm_id: 'x:1' is not a plain name" in problems
+        assert "algorithms[0].version: '2/b' is not a plain name" in problems
 
     def test_site_id_that_is_not_a_plain_name_is_rejected(self):
         cfg = tiny_config()
@@ -389,15 +398,12 @@ def stress_ingest(cfg: ScenarioConfig) -> tuple[Hub, int]:
     expected = sum(len(v) for v in by_site.values())
 
     hub = Hub()
-    server = HubServer(("127.0.0.1", 0), hub)
-    server.serve_in_background()
-    try:
-        port = server.server_address[1]
+    with served(hub) as (host, port):
         errors: list[BaseException] = []
 
         def pump(envelopes: list[Envelope]) -> None:
             try:
-                with TcpClient("127.0.0.1", port) as tcp:
+                with TcpClient(host, port) as tcp:
                     # resubmit everything twice: duplicates must be harmless
                     submit_batch(tcp, envelopes, sleep=lambda _: None)
                     submit_batch(tcp, envelopes, sleep=lambda _: None)
@@ -412,9 +418,6 @@ def stress_ingest(cfg: ScenarioConfig) -> tuple[Hub, int]:
             t.join()
         if errors:
             raise ScenarioError(f"stress ingest failed: {errors[0]}")
-    finally:
-        server.shutdown()
-        server.server_close()
     return hub, expected
 
 

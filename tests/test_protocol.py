@@ -6,20 +6,23 @@ import gc
 import json
 import socket
 import threading
+import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import ExitStack
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import join_or_fail, served
+from labelloop import protocol
 from labelloop.canon import canonical_decode, canonical_encode, digest_text
 from labelloop.feedback import AlgorithmOutput, Detection, ExecutionMode
 from labelloop.harness import make_scenario, run_scenario
 from labelloop.model import FindingCode, Measurement, StudyRecord, Unit, box, point
 from labelloop.protocol import (
     MAX_FRAME_BYTES, Ack, AckStatus, AlertAck, DeliveryError, Envelope,
-    EnvelopeKind, FrameError, Hub, HubServer, InProcessClient, IntegrityError,
+    EnvelopeKind, FrameError, Hub, InProcessClient, IntegrityError,
     TcpClient, TransientStoreError, VersionError, decode_envelope,
     encode_envelope, envelope_from_line, _read_frame, envelope_to_line,
     make_envelope, submit_batch,
@@ -273,6 +276,33 @@ def test_an_envelope_claiming_another_key_is_rejected():
     assert hub.ingest(e).status is AckStatus.ACCEPTED
 
 
+def test_a_record_filed_in_another_sites_name_is_rejected(fixture_study):
+    study = make_envelope("siteB", EnvelopeKind.STUDY, fixture_study, NOW)
+    alert_ack = make_envelope("siteB", EnvelopeKind.ALERT_ACK,
+                              AlertAck("AL1", "siteC", NOW), NOW)
+    hub = Hub()
+    assert hub.ingest(study) == Ack(study.envelope_id, AckStatus.REJECTED,
+                                    "record site_id 'siteA' is not the envelope's 'siteB'")
+    assert hub.ingest(alert_ack) == Ack(
+        alert_ack.envelope_id, AckStatus.REJECTED,
+        "record site_id 'siteC' is not the envelope's 'siteB'")
+    assert hub.stored_count() == 0
+    own = make_envelope("siteA", EnvelopeKind.STUDY, fixture_study, NOW)
+    assert hub.ingest(own).status is AckStatus.ACCEPTED
+
+
+def test_algorithm_names_that_blur_the_key_are_rejected():
+    outputs = [AlgorithmOutput("S1", "x:1", "2", ExecutionMode.CENTRAL),
+               AlgorithmOutput("S1", "x", "1:2", ExecutionMode.CENTRAL)]
+    envelopes = [make_envelope("siteA", EnvelopeKind.ALG_OUTPUT, out, NOW)
+                 for out in outputs]
+    assert envelopes[0].idempotency_key == envelopes[1].idempotency_key
+    hub = Hub()
+    assert [hub.ingest(e).reason for e in envelopes] == [
+        "algorithm_id 'x:1' is not a plain name", "version '1:2' is not a plain name"]
+    assert hub.stored_count() == 0
+
+
 def test_a_site_id_that_is_a_path_writes_nothing_outside_the_spool(tmp_path):
     spool = tmp_path / "spool"
     spool.mkdir()
@@ -373,54 +403,149 @@ def test_ack_order_matches_input_order():
 
 def test_tcp_round_trip():
     hub = Hub()
-    server = HubServer(("127.0.0.1", 0), hub)
-    server.serve_in_background()
-    try:
-        port = server.server_address[1]
-        with TcpClient("127.0.0.1", port) as client:
-            acks = submit_batch(client, [env_of(), env_of()])
-        assert [a.status for a in acks] == [AckStatus.ACCEPTED, AckStatus.DUPLICATE]
-        assert hub.stored_count() == 1
-    finally:
-        server.shutdown()
-        server.server_close()
+    with served(hub) as (host, port), TcpClient(host, port) as client:
+        acks = submit_batch(client, [env_of(), env_of()])
+    assert [a.status for a in acks] == [AckStatus.ACCEPTED, AckStatus.DUPLICATE]
+    assert hub.stored_count() == 1
 
 
 def test_tcp_transient_failure_retried():
     hub = Hub()
     hub.fail_next_ingests(1)
-    server = HubServer(("127.0.0.1", 0), hub)
-    server.serve_in_background()
-    try:
-        port = server.server_address[1]
-        sleeps = []
-        with TcpClient("127.0.0.1", port) as client:
-            acks = submit_batch(client, [env_of()], sleep=sleeps.append)
-        assert [a.status for a in acks] == [AckStatus.ACCEPTED]
-        assert len(sleeps) == 1
-    finally:
-        server.shutdown()
-        server.server_close()
+    sleeps = []
+    with served(hub) as (host, port), TcpClient(host, port) as client:
+        acks = submit_batch(client, [env_of()], sleep=sleeps.append)
+    assert [a.status for a in acks] == [AckStatus.ACCEPTED]
+    assert len(sleeps) == 1
+
+
+def read_ack(sock: socket.socket) -> Ack:
+    return canonical_decode(_read_frame(sock)[4:].decode("utf-8"), Ack)
 
 
 def test_tcp_frame_not_utf8_is_rejected_and_the_connection_serves_on():
     hub = Hub()
-    server = HubServer(("127.0.0.1", 0), hub)
-    server.serve_in_background()
+    with served(hub) as addr, socket.create_connection(addr, timeout=5) as sock:
+        body = b'{"envelope_id":"\xff"}'
+        sock.sendall(len(body).to_bytes(4, "big") + body)
+        ack = read_ack(sock)
+        assert ack.status is AckStatus.REJECTED
+        assert ack.reason.startswith("frame body is not UTF-8")
+        sock.sendall(encode_envelope(env_of()))
+        assert read_ack(sock).status is AckStatus.ACCEPTED
+    assert hub.stored_count() == 1
+
+
+def closed_unread(sock: socket.socket) -> bool:
+    """Whether the hub closes ``sock`` without answering a frame on it."""
     try:
-        with socket.create_connection(server.server_address, timeout=5) as sock:
-            body = b'{"envelope_id":"\xff"}'
-            sock.sendall(len(body).to_bytes(4, "big") + body)
-            ack = canonical_decode(_read_frame(sock)[4:].decode("utf-8"), Ack)
-            assert ack.status is AckStatus.REJECTED
-            assert ack.reason.startswith("frame body is not UTF-8")
-            sock.sendall(encode_envelope(env_of()))
-            ack = canonical_decode(_read_frame(sock)[4:].decode("utf-8"), Ack)
-            assert ack.status is AckStatus.ACCEPTED
-        assert hub.stored_count() == 1
-    finally:
-        server.shutdown()
-        server.server_close()
+        sock.sendall(encode_envelope(env_of(labelset("unanswered"))))
+        return sock.recv(1) == b""
+    except ConnectionError:
+        return True
+
+
+def test_tcp_frames_are_answered_once_each_in_order():
+    envelopes = [env_of(labelset(f"R{i}")) for i in range(4)]
+    with served(Hub()) as addr, socket.create_connection(addr, timeout=5) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.sendall(b"".join(encode_envelope(e) for e in envelopes[:3]))
+        for byte in encode_envelope(envelopes[3]):
+            sock.sendall(bytes([byte]))
+        assert [read_ack(sock) for _ in envelopes] == [
+            Ack(e.envelope_id, AckStatus.ACCEPTED) for e in envelopes]
+        sock.settimeout(0.2)
+        with pytest.raises(TimeoutError):
+            sock.recv(1)  # no second ack for the frame sent a byte at a time
+
+
+def test_a_connection_beyond_the_cap_is_closed_unread(monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_CONNECTIONS", 2)
+    hub = Hub()
+    with served(hub) as addr, ExitStack() as stack:
+        socks = [stack.enter_context(socket.create_connection(addr, timeout=5))
+                 for _ in range(2)]
+        for i, sock in enumerate(socks):
+            sock.sendall(encode_envelope(env_of(labelset(f"R{i}"))))
+            assert read_ack(sock).status is AckStatus.ACCEPTED
+        assert closed_unread(stack.enter_context(socket.create_connection(addr, timeout=5)))
+        for i, sock in enumerate(socks):
+            sock.sendall(encode_envelope(env_of(labelset(f"R{i}"))))
+            assert read_ack(sock).status is AckStatus.DUPLICATE
+    assert hub.stored_count() == 2
+
+
+def test_the_hub_serves_every_connection_from_one_thread():
+    with served(Hub()) as addr, ExitStack() as stack:
+        before = threading.active_count()
+        for i in range(4):
+            sock = stack.enter_context(socket.create_connection(addr, timeout=5))
+            sock.sendall(encode_envelope(env_of(labelset(f"R{i}"))))
+            assert read_ack(sock).status is AckStatus.ACCEPTED
+        assert threading.active_count() <= before
+
+
+class CountingHub(Hub):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def ingest(self, e: Envelope) -> Ack:
+        self.calls += 1
+        return super().ingest(e)
+
+
+def settled(read, timeout_s=10.0):
+    """The value of ``read()`` once it has held still for 0.3 s."""
+    deadline = time.monotonic() + timeout_s
+    last = read()
+    while time.monotonic() < deadline:
+        time.sleep(0.3)
+        now, last = last, read()
+        if now == last:
+            return last
+    raise AssertionError(f"still moving after {timeout_s} s")
+
+
+def test_a_peer_is_not_read_while_its_acks_wait_to_be_sent(monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_UNSENT_ACK_BYTES", 1024)
+    # each REJECTED ack repeats the forged key: 256 KB of ack per frame, so
+    # 40 acks are 10 MB, over the 4 MB a loopback connection buffers
+    frame = encode_envelope(dataclasses.replace(env_of(), idempotency_key="k" * 256_000))
+    n = 40
+    hub = CountingHub()
+    with served(hub) as addr, socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(10)
+        sock.connect(addr)
+        sender = threading.Thread(target=sock.sendall, args=(frame * n,), daemon=True)
+        sender.start()
+        assert settled(lambda: hub.calls) < n  # none read while acks wait
+        acks = [read_ack(sock) for _ in range(n)]  # and all once they drain
+        join_or_fail(sender, "the sender")
+    assert hub.calls == n
+    assert {a.status for a in acks} == {AckStatus.REJECTED}
+
+
+class BrokenHub(Hub):
+    def ingest(self, e: Envelope) -> Ack:
+        if e.site_id == "siteX":
+            raise RuntimeError("a fault in ingest")
+        return super().ingest(e)
+
+
+def test_an_unexpected_error_closes_only_its_connection(capsys):
+    hub = BrokenHub()
+    with served(hub) as addr, socket.create_connection(addr, timeout=5) as good, \
+            socket.create_connection(addr, timeout=5) as bad:
+        good.sendall(encode_envelope(env_of(labelset("R1"))))
+        assert read_ack(good).status is AckStatus.ACCEPTED
+        bad.sendall(encode_envelope(env_of(site="siteX")))
+        assert bad.recv(1) == b""
+        good.sendall(encode_envelope(env_of(labelset("R2"))))
+        assert read_ack(good).status is AckStatus.ACCEPTED
+    assert hub.stored_count() == 2
+    assert "RuntimeError: a fault in ingest" in capsys.readouterr().err
 
 
 uids = st.from_regex(r"[A-Za-z0-9._-]{1,12}", fullmatch=True)
@@ -439,17 +564,6 @@ def test_decode_encode_identity_property(site, report, study, n, kind):
 
 # ---------------------------------------------------------------------------
 # one contract: every input fault is a REJECTED ack; only TransientStoreError raises
-
-
-@contextmanager
-def served(hub: Hub):
-    server = HubServer(("127.0.0.1", 0), hub)
-    server.serve_in_background()
-    try:
-        yield server.server_address
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_ingest_rejects_an_unknown_schema_version():
@@ -513,7 +627,7 @@ def test_tcp_oversized_frame_is_rejected_unread_and_closed():
     n = MAX_FRAME_BYTES + 1
     with served(Hub()) as addr, socket.create_connection(addr, timeout=2) as sock:
         sock.sendall(n.to_bytes(4, "big"))  # and no body
-        ack = canonical_decode(_read_frame(sock)[4:].decode("utf-8"), Ack)
+        ack = read_ack(sock)
         assert ack.status is AckStatus.REJECTED
         assert f"frame length {n} exceeds" in ack.reason
         assert sock.recv(1) == b""  # the hub closed the connection
