@@ -11,15 +11,22 @@ order.
 Fields can opt out of the canonical form (secrets, derived caches) by
 declaring ``metadata={"canon": "exclude"}`` on the dataclass field.
 
-The codec reflects on a record class once, on its first use, and caches the
-result by class:
+The codec reflects on a record class once, on its first use: it resolves the
+class's type hints and generates, with ``exec``, one encode and one decode
+function for it, cached by class (the plans). Importing the package builds
+none.
 
-* the encode plan holds the class's sorted, non-excluded field names, each
-  with its ``"name":`` key rendered once; field values are rendered by an
-  encoder memoized per concrete value type;
-* the decode plan holds the class's type hints, resolved once and compiled
-  into one decoder per field, along with the allowed field set and the
-  value each absent field takes.
+* The encode function reads the non-excluded fields in name order. When
+  each holds None or a value of exactly its declared type, it renders every
+  value inline by that type's rule and builds the line in one step; otherwise
+  each value goes through an encoder memoized per concrete value type. Both
+  give the same bytes, as the rendering follows the runtime type.
+* The decode function checks that the object is one with no unknown field,
+  then decodes each field in declaration order: inline when the JSON value
+  has the type that a valid value of the declared type has, and through a
+  checked per-field decoder otherwise, which raises every ``CanonError``.
+  Nested records go through their own generated functions, and the record
+  is made by the class's own ``__init__``.
 
 A plan is a pure function of its class, so threads that race to build the
 same one publish equal copies and the caches need no lock.
@@ -185,7 +192,7 @@ def _value_encoder(tp: type) -> _Encoder:
     elif issubclass(tp, bytes):
         encode = _raising("raw bytes are never serialized")
     elif dataclasses.is_dataclass(tp):
-        encode = _RECORD_ENCODERS.get(tp) or _record_encoder(tp)
+        encode = _RECORD_ENCODERS.get(tp) or _build_plans(tp)[0]
     elif issubclass(tp, (list, tuple)):
         encode = _encode_sequence
     elif issubclass(tp, dict):
@@ -198,33 +205,13 @@ def _value_encoder(tp: type) -> _Encoder:
     return encode
 
 
-def _record_encoder(cls: type) -> _Encoder:
-    """Build and cache the encode plan of a dataclass."""
-    plan = tuple(
-        (f.name, json.dumps(f.name) + ":")
-        for f in sorted(dataclasses.fields(cls), key=lambda f: f.name)
-        if f.metadata.get("canon") != "exclude")
-
-    def encode(record: typing.Any) -> str:
-        parts = []
-        for name, key in plan:
-            v = getattr(record, name)
-            if v is not None:
-                parts.append(key + (_VALUE_ENCODERS.get(type(v))
-                                    or _value_encoder(type(v)))(v))
-        return "{" + ",".join(parts) + "}"
-
-    _RECORD_ENCODERS[cls] = encode
-    return encode
-
-
 def canonical_encode(record: typing.Any) -> str:
     """Render a dataclass record as its single canonical line (no newline)."""
     encode = _RECORD_ENCODERS.get(type(record))
     if encode is None:
         if not dataclasses.is_dataclass(record) or isinstance(record, type):
             raise CanonError("canonical_encode takes a dataclass instance")
-        encode = _record_encoder(type(record))
+        encode = _build_plans(type(record))[0]
     return encode(record)
 
 
@@ -366,7 +353,7 @@ def _compile(hint: typing.Any) -> _Decoder:
         def decode_record(value):
             if value is None:
                 raise CanonError(missing)
-            return (_RECORD_DECODERS.get(hint) or _record_decoder(hint))(value)
+            return (_RECORD_DECODERS.get(hint) or _build_plans(hint)[1])(value)
         return decode_record
 
     def decode_unknown(value):
@@ -374,47 +361,243 @@ def _compile(hint: typing.Any) -> _Decoder:
     return decode_unknown
 
 
-def _absent_default(value: typing.Any) -> typing.Callable[[], typing.Any]:
-    return lambda: value
+# ---------------------------------------------------------------------------
+# generated record functions
 
 
-def _record_decoder(cls: type) -> _Decoder:
-    """Build and cache the decode plan of a dataclass."""
-    hints = typing.get_type_hints(cls)
-    name = cls.__name__
-    fields = [f for f in dataclasses.fields(cls)
-              if f.metadata.get("canon") != "exclude"]
-    allowed = frozenset(f.name for f in fields)
-    plan = []
-    for f in fields:
-        hint = hints[f.name]
-        if f.default is not dataclasses.MISSING:
-            absent = _absent_default(f.default)
-        elif f.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-            absent = f.default_factory  # type: ignore[misc]
-        elif _is_optional(hint):
-            absent = _absent_default(None)
+class _Source:
+    """The text of one generated function and the values it closes over."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self._names: dict[int, str] = {}
+        self._values: dict[str, typing.Any] = {}
+        self._vars = 0
+
+    def ref(self, value: typing.Any) -> str:
+        """The name under which the function sees ``value``."""
+        name = self._names.get(id(value))
+        if name is None:
+            name = self._names[id(value)] = f"_{len(self._values)}"
+            self._values[name] = value
+        return name
+
+    def var(self) -> str:
+        """A fresh local name, for a comprehension's item."""
+        self._vars += 1
+        return f"x{self._vars}"
+
+    def build(self, filename: str) -> typing.Callable:
+        # the values become closure cells of a factory, which the body reads
+        # as fast as locals
+        text = (f"def make({', '.join(self._values)}):\n"
+                + "".join(f"    {line}\n" for line in self.lines)
+                + "    return f\n")
+        namespace: dict[str, typing.Any] = {}
+        exec(compile(text, filename, "exec"), namespace)
+        return namespace["make"](**self._values)
+
+
+def _is_record(tp: typing.Any) -> bool:
+    return isinstance(tp, type) and dataclasses.is_dataclass(tp)
+
+
+def _encode_shortcut(hint: typing.Any, var: str, src: _Source,
+                     building: tuple) -> tuple[str, str] | None:
+    """For a value ``var`` declared as ``hint``: the exact type on which it
+    can skip ``_encode_value``'s dispatch, and the expression that renders it
+    then, exactly as that dispatch would; None if the hint offers none."""
+    origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
+    if _is_union(origin):
+        members = [a for a in args if a is not type(None)]
+        return (_encode_shortcut(members[0], var, src, building)
+                if len(members) == 1 else None)
+    if origin in (list, tuple):
+        item = src.var()
+        render = f"{src.ref(_encode_value)}({item})"
+        shortcut = _encode_shortcut(args[0], item, src, building) if args else None
+        if shortcut is not None:
+            render = f"{shortcut[1]} if type({item}) is {shortcut[0]} else {render}"
+        return (src.ref(origin),
+                f"'[' + ','.join([{render} for {item} in {var}]) + ']'")
+    if not isinstance(hint, type):
+        return None
+    # the order of _value_encoder: bool before Enum before int
+    if hint is bool:
+        return src.ref(bool), f"('true' if {var} else 'false')"
+    if issubclass(hint, enum.Enum):
+        return src.ref(hint), f"{src.ref(encode_basestring_ascii)}({var}._name_)"
+    if hint is int:
+        return src.ref(int), f"str({var})"
+    if hint is float:
+        return src.ref(float), f"{src.ref(format_float)}({var})"
+    if hint is str:
+        return src.ref(str), f"{src.ref(encode_basestring)}({var})"
+    if hint is datetime:
+        return src.ref(datetime), f"'\"' + {src.ref(format_datetime)}({var}) + '\"'"
+    if hint is date:
+        return src.ref(date), f"'\"' + {var}.isoformat() + '\"'"
+    if _is_record(hint) and not issubclass(hint, (int, float, str, date, bytes)):
+        return src.ref(hint), f"{src.ref(_nested(hint, building)[0])}({var})"
+    return None
+
+
+def _decode_shortcut(hint: typing.Any, var: str, src: _Source, building: tuple) -> str:
+    """An expression for the decoded value of the JSON value ``var``: a
+    shortcut when ``var`` has the JSON type a valid value of ``hint`` has, and
+    ``_compile``'s checked decoder otherwise, so that every fault raises the
+    same ``CanonError``."""
+    checked = f"{src.ref(_compile(hint))}({var})"
+    origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
+    if _is_union(origin):
+        members = [a for a in args if a is not type(None)]
+        if len(members) != 1:
+            return checked
+        return f"(None if {var} is None else {_decode_shortcut(members[0], var, src, building)})"
+    if origin is list and args:
+        item = src.var()
+        items = f"[{_decode_shortcut(args[0], item, src, building)} for {item} in {var}]"
+        return f"({items} if type({var}) is list else {checked})"
+    if not isinstance(hint, type):
+        return checked
+    # the order of _compile: Enum before the scalar types
+    if issubclass(hint, enum.Enum):
+        members = src.ref(dict(hint.__members__))
+        return f"({members}[{var}] if type({var}) is str and {var} in {members} else {checked})"
+    if hint is datetime or hint is date:
+        parse = src.ref(parse_datetime if hint is datetime else _parse_date)
+        return f"({parse}({var}) if type({var}) is str else {checked})"
+    if hint is float:  # json.loads reads NaN, Infinity and 1e400 as floats
+        return f"({var} if type({var}) is float and {src.ref(math.isfinite)}({var}) else {checked})"
+    if hint is int or hint is bool or hint is str:
+        return f"({var} if type({var}) is {src.ref(hint)} else {checked})"
+    if _is_record(hint):
+        return f"({src.ref(_nested(hint, building)[1])}({var}) if type({var}) is dict else {checked})"
+    return checked
+
+
+def _canon_fields(cls: type) -> list[dataclasses.Field]:
+    return [f for f in dataclasses.fields(cls) if f.metadata.get("canon") != "exclude"]
+
+
+def _generate_encoder(cls: type, hints: dict, building: tuple) -> _Encoder:
+    """One function that renders a ``cls`` record: its fields in name order,
+    None fields left out. When every field holds None or a value of exactly
+    its declared type, one string is built from the declared types'
+    shortcuts; otherwise each value goes through ``_encode_value``."""
+    src = _Source()
+    fields = sorted(_canon_fields(cls), key=lambda f: f.name)
+    encode_value = src.ref(_encode_value)
+    src.lines.append("def f(r):")
+    checks, pieces, text = [], [], ""
+    for i, f in enumerate(fields):
+        v, s, key = f"v{i}", f"s{i}", json.dumps(f.name) + ":"
+        src.lines.append(f"    {v} = r.{f.name}")
+        shortcut = _encode_shortcut(hints[f.name], v, src, building)
+        if shortcut is None:
+            render = f"{encode_value}({v})"
         else:
-            def absent(field_name=f.name):
-                raise CanonError(f"missing field {field_name!r} for {name}")
-        plan.append((f.name, _compile(hint), absent))
+            render = shortcut[1]
+            checks.append(f"type({v}) is {shortcut[0]}")
+        if shortcut is not None and not _is_optional(hints[f.name]):
+            pieces.append(f"{s} = {render}")
+            text += f",{key}{{{s}}}"
+        else:  # a field that may be None, and is then left out
+            if shortcut is not None:
+                checks[-1] = f"({checks[-1]} or {v} is None)"
+            pieces.append(f"{s} = '' if {v} is None else {',' + key!r} + {render}")
+            text += f"{{{s}}}"
+    src.lines.append(f"    if {' and '.join(checks) or 'True'}:")
+    src.lines += [f"        {piece}" for piece in pieces]
+    # every field's text starts with a comma, and the first one's is dropped
+    if text.startswith(","):  # the first field is never left out
+        src.lines.append(f"        return f{'{{' + text[1:] + '}}'!r}")
+    else:
+        src.lines.append(f"        return '{{' + f{text!r}[1:] + '}}'")
+    src.lines.append("    parts = []")
+    for i, f in enumerate(fields):
+        src.lines += [f"    if v{i} is not None:",
+                      f"        parts.append({json.dumps(f.name) + ':'!r} + {encode_value}(v{i}))"]
+    src.lines.append("    return '{' + ','.join(parts) + '}'")
+    return src.build(f"<canon encoder of {cls.__qualname__}>")
 
-    def decode(obj: typing.Any) -> typing.Any:
-        if not isinstance(obj, dict):
-            raise CanonError(f"expected object for {name}")
-        if not allowed.issuperset(obj):
-            unknown = set(obj) - allowed
-            raise CanonError(f"unknown field(s) for {name}: {sorted(unknown)}")
-        kwargs = {}
-        for field_name, decode_field, absent in plan:
-            if field_name in obj:
-                kwargs[field_name] = decode_field(obj[field_name])
-            else:
-                kwargs[field_name] = absent()
-        return cls(**kwargs)
 
+def _generate_decoder(cls: type, hints: dict, building: tuple) -> _Decoder:
+    """One function that builds a ``cls`` record from a parsed JSON object:
+    the object's shape is checked, then each field is decoded in declaration
+    order, and the record is made by the class's own ``__init__``."""
+    name = cls.__name__
+    fields = _canon_fields(cls)
+    src = _Source()
+    error = src.ref(CanonError)
+    allowed = src.ref(frozenset(f.name for f in fields))
+    src.lines += [
+        "def f(obj):",
+        "    if not isinstance(obj, dict):",
+        f"        raise {error}({f'expected object for {name}'!r})",
+        f"    if not {allowed}.issuperset(obj):",
+        f"        raise {error}({f'unknown field(s) for {name}: '!r}"
+        f" + str(sorted(set(obj) - {allowed})))",
+    ]
+    local = {}
+    for i, f in enumerate(fields):
+        hint = hints[f.name]
+        local[f.name] = target = f"a{i}"
+        if f.default is not dataclasses.MISSING:
+            absent = f"{target} = {src.ref(f.default)}"
+        elif f.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
+            absent = f"{target} = {src.ref(f.default_factory)}()"  # type: ignore[misc]
+        elif _is_optional(hint):
+            absent = f"{target} = None"
+        else:
+            absent = f"raise {error}({f'missing field {f.name!r} for {name}'!r})"
+        src.lines += [f"    if {f.name!r} in obj:",
+                      f"        v = obj[{f.name!r}]",
+                      f"        {target} = {_decode_shortcut(hint, 'v', src, building)}",
+                      "    else:",
+                      f"        {absent}"]
+    # positional where the dataclass __init__ takes the field in that place
+    positional, keyword = [], []
+    in_place = cls.__dataclass_params__.init  # type: ignore[attr-defined]
+    for f in dataclasses.fields(cls):
+        if f.name not in local:  # excluded: its parameter keeps its default
+            in_place = in_place and (not f.init or f.kw_only)
+        elif in_place and f.init and not f.kw_only:
+            positional.append(local[f.name])
+        else:
+            keyword.append(f"{f.name}={local[f.name]}")
+    src.lines.append(f"    return {src.ref(cls)}({', '.join(positional + keyword)})")
+    return src.build(f"<canon decoder of {cls.__qualname__}>")
+
+
+def _build_plans(cls: type, building: tuple = ()) -> tuple[_Encoder, _Decoder]:
+    """Generate and publish the encode and the decode function of a record
+    class; ``building`` holds the classes whose functions are being
+    generated further up, which a nested field reaches by lookup per call."""
+    hints = typing.get_type_hints(cls)
+    building += (cls,)
+    encode = _generate_encoder(cls, hints, building)
+    decode = _generate_decoder(cls, hints, building)
+    _RECORD_ENCODERS[cls] = encode
     _RECORD_DECODERS[cls] = decode
-    return decode
+    return encode, decode
+
+
+def _nested(cls: type, building: tuple) -> tuple[_Encoder, _Decoder]:
+    """The encode and decode function a field of record class ``cls`` calls."""
+    if cls in building:  # a class that nests itself
+        def encode(record):
+            return (_RECORD_ENCODERS.get(cls) or _build_plans(cls)[0])(record)
+
+        def decode(obj):
+            return (_RECORD_DECODERS.get(cls) or _build_plans(cls)[1])(obj)
+        return encode, decode
+    encode, decode = _RECORD_ENCODERS.get(cls), _RECORD_DECODERS.get(cls)
+    if encode is None or decode is None:
+        encode, decode = _build_plans(cls, building)
+    return encode, decode
 
 
 def canonical_decode(line: str, cls: type) -> typing.Any:
@@ -432,4 +615,4 @@ def canonical_decode(line: str, cls: type) -> typing.Any:
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
             raise CanonError("lone surrogate escape has no UTF-8 form") from None
-    return (_RECORD_DECODERS.get(cls) or _record_decoder(cls))(obj)
+    return (_RECORD_DECODERS.get(cls) or _build_plans(cls)[1])(obj)

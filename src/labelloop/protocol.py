@@ -6,16 +6,22 @@ canonical line); client and server read frames through one reader. The same
 line, unframed, is what spool files (`*.env.jsonl`) carry, one envelope per
 line, when ``labelloop hub --spool`` keeps the accepted envelopes.
 ``HubServer`` serves every peer from one thread, at most ``MAX_CONNECTIONS``
-at once.
+at once, and closes a peer that completes no frame for ``IDLE_TIMEOUT_S``.
 
 Ingestion semantics per idempotency_key:
     first presentation             -> ACCEPTED, payload persisted
+    re-presentation, same envelope -> DUPLICATE from the store, nothing
+                                      hashed, decoded or written again
     re-presentation, same digest   -> DUPLICATE, no second write
     re-presentation, new digest    -> REJECTED "idempotency conflict"
-The hub derives the key from the envelope's site, kind and payload uid. It
-needs the site id, and the algorithm id and version inside an ALG_OUTPUT
-uid, to be plain names (``is_plain_name``), and a record that names a site
-to name the envelope's own. Those faults, a claimed key that differs, and
+"Same envelope" means the stored one's site, kind, schema version, payload
+bytes and digest: the gate's verdict depends on nothing else, and the stored
+envelope passed it. Any other envelope goes through the gate. The hub
+derives the key from the envelope's site, kind and payload uid. It needs the
+site id, and the algorithm id and version inside an ALG_OUTPUT uid, to be
+plain names (``is_plain_name``), a record that names a site to name the
+envelope's own, and the payload to be its record's canonical line, so that
+one record has one wire form. Those faults, a claimed key that differs, and
 every other fault in a frame or an envelope (size, version, digest, payload
 shape or content) are answered by a REJECTED ack that names it;
 ``Hub.ingest`` raises only ``TransientStoreError``, which the client retries.
@@ -47,7 +53,7 @@ from .reports import (
 )
 
 __all__ = [
-    "SCHEMA_VERSION", "MAX_FRAME_BYTES", "MAX_CONNECTIONS",
+    "SCHEMA_VERSION", "MAX_FRAME_BYTES", "MAX_CONNECTIONS", "IDLE_TIMEOUT_S",
     "MAX_UNSENT_ACK_BYTES", "EnvelopeKind", "AckStatus", "Envelope",
     "Ack", "AlertAck", "FrameError", "IntegrityError", "VersionError",
     "TransientStoreError", "DeliveryError", "make_envelope", "encode_envelope",
@@ -62,6 +68,10 @@ MAX_FRAME_BYTES = 1 << 20
 # peers a HubServer serves at once, far above any real site count; a
 # connection beyond them is closed unread
 MAX_CONNECTIONS = 64
+# a peer that completes no frame for this long after its accept or its last
+# complete frame is closed, so that silent connections cannot hold the cap;
+# the loop looks for such peers once per quarter of it
+IDLE_TIMEOUT_S = 30.0
 # a peer is not read while more of its acks than this wait to be sent; as
 # every complete frame is answered after each recv, its input buffer never
 # holds more than one frame and one recv
@@ -314,7 +324,24 @@ class Hub:
         with self._lock:
             self._fail_budget = n
 
+    def _spend_fail_budget(self) -> None:
+        """Under the lock: raise while injected faults remain."""
+        if self._fail_budget > 0:
+            self._fail_budget -= 1
+            raise TransientStoreError("storage unavailable, retry")
+
     def ingest(self, e: Envelope) -> Ack:
+        if isinstance(e.idempotency_key, str):
+            with self._lock:
+                known = self._envelopes.get(e.idempotency_key)
+                # every check of the gate below is a pure function of these
+                # fields, and the stored envelope passed them all
+                if (known is not None and known.payload == e.payload
+                        and known.payload_digest == e.payload_digest
+                        and known.site_id == e.site_id and known.kind is e.kind
+                        and known.schema_version == e.schema_version):
+                    self._spend_fail_budget()
+                    return Ack(e.envelope_id, AckStatus.DUPLICATE)
         if not is_plain_name(e.site_id):
             return Ack(e.envelope_id, AckStatus.REJECTED,
                        f"site_id {e.site_id!r} is not a plain name")
@@ -322,6 +349,8 @@ class Hub:
         try:
             _check_envelope(e)
             record = canonical_decode(e.payload, kind.payload)
+            if canonical_encode(record) != e.payload:
+                raise IntegrityError("payload is not the canonical line of its record")
         except FrameError as err:
             return Ack(e.envelope_id, AckStatus.REJECTED, str(err))
         except CanonError as err:
@@ -338,9 +367,7 @@ class Hub:
         if problems:
             return Ack(e.envelope_id, AckStatus.REJECTED, "; ".join(problems))
         with self._lock:
-            if self._fail_budget > 0:
-                self._fail_budget -= 1
-                raise TransientStoreError("storage unavailable, retry")
+            self._spend_fail_budget()
             known = self._envelopes.get(e.idempotency_key)
             if known is not None:
                 if known.payload_digest == e.payload_digest:
@@ -470,11 +497,12 @@ def submit_batch(client, envelopes: list[Envelope],
 class _Peer:
     """One connection of the serving loop."""
 
-    __slots__ = ("sock", "addr", "inbox", "outbox", "closing", "events")
+    __slots__ = ("sock", "addr", "inbox", "outbox", "closing", "events", "deadline")
 
-    def __init__(self, sock: socket.socket, addr):
+    def __init__(self, sock: socket.socket, addr, deadline: float):
         self.sock = sock
         self.addr = addr
+        self.deadline = deadline  # closed if no frame completes before it
         self.inbox = bytearray()  # received bytes not yet answered
         self.outbox = bytearray()  # acks not yet sent
         self.closing = False  # serves no more frames; closed once the outbox is sent
@@ -483,13 +511,15 @@ class _Peer:
 
 class HubServer:
     """The hub's TCP endpoint: one ``selectors`` loop on one thread serves
-    every peer, at most ``MAX_CONNECTIONS`` at once, and closes a connection
-    beyond them unread. Each frame is answered in order with one ack, and a
-    peer is not read while more than ``MAX_UNSENT_ACK_BYTES`` of its acks wait
-    to be sent. A frame over ``MAX_FRAME_BYTES`` is answered REJECTED and its
-    connection closed unread; a ``TransientStoreError`` closes the connection
-    without an ack, so the client retries; an unexpected error is printed to
-    stderr and closes that connection only."""
+    every peer, at most ``MAX_CONNECTIONS`` at once. It closes a connection
+    beyond them unread, and a peer that completes no frame within
+    ``IDLE_TIMEOUT_S`` of its accept or of its last frame. Each frame is
+    answered in order with one ack, and a peer is not read while more than
+    ``MAX_UNSENT_ACK_BYTES`` of its acks wait to be sent. A frame over
+    ``MAX_FRAME_BYTES`` is answered REJECTED and its connection closed
+    unread; a ``TransientStoreError`` closes the connection without an ack,
+    so the client retries; an unexpected error is printed to stderr and
+    closes that connection only."""
 
     def __init__(self, addr: tuple[str, int], hub: Hub):
         self.hub = hub
@@ -511,14 +541,20 @@ class HubServer:
                 sel.register(self._listener, selectors.EVENT_READ)
                 sel.register(self._wake_r, selectors.EVENT_READ)
                 try:
+                    now = sweep_at = time.monotonic()
                     while not self._stop:
-                        for key, mask in sel.select():
+                        ready = sel.select(max(0.0, sweep_at - now))
+                        now = time.monotonic()
+                        for key, mask in ready:
                             if key.data is not None:
-                                self._serve(sel, key.data, mask & selectors.EVENT_READ)
+                                self._serve(sel, key.data, mask & selectors.EVENT_READ, now)
                             elif key.fileobj is self._listener:
-                                self._accept(sel)
+                                self._accept(sel, now)
                             else:
                                 self._wake_r.recv(_RECV_BYTES)
+                        if now >= sweep_at:
+                            self._close_idle(sel, now)
+                            sweep_at = now + IDLE_TIMEOUT_S / 4
                 finally:
                     for key in list(sel.get_map().values()):
                         if key.data is not None:
@@ -547,7 +583,7 @@ class HubServer:
         for sock in (self._listener, self._wake_r, self._wake_w):
             sock.close()
 
-    def _accept(self, sel: selectors.BaseSelector) -> None:
+    def _accept(self, sel: selectors.BaseSelector, now: float) -> None:
         try:
             sock, addr = self._listener.accept()
         except OSError:
@@ -557,9 +593,17 @@ class HubServer:
             sock.close()
             return
         sock.setblocking(False)
-        sel.register(sock, selectors.EVENT_READ, _Peer(sock, addr))
+        sel.register(sock, selectors.EVENT_READ, _Peer(sock, addr, now + IDLE_TIMEOUT_S))
 
-    def _serve(self, sel: selectors.BaseSelector, peer: _Peer, readable: int) -> None:
+    @staticmethod
+    def _close_idle(sel: selectors.BaseSelector, now: float) -> None:
+        for key in list(sel.get_map().values()):
+            if key.data is not None and key.data.deadline <= now:
+                sel.unregister(key.fileobj)
+                key.data.sock.close()
+
+    def _serve(self, sel: selectors.BaseSelector, peer: _Peer, readable: int,
+               now: float) -> None:
         """Read what the peer sent, answer its complete frames and send the
         acks, as far as each can go without blocking."""
         try:
@@ -575,7 +619,7 @@ class HubServer:
                     peer.closing = True  # acks already due are still sent
                 elif data:
                     peer.inbox += data
-                    self._answer(peer)
+                    self._answer(peer, now)
             self._flush(peer)
         except Exception:
             # sys.excepthook prints the traceback to stderr and, unlike the
@@ -595,7 +639,7 @@ class HubServer:
             sel.modify(peer.sock, events, peer)
             peer.events = events
 
-    def _answer(self, peer: _Peer) -> None:
+    def _answer(self, peer: _Peer, now: float) -> None:
         """Answer the complete frames in the peer's inbox, in order."""
         inbox = peer.inbox
         while not peer.closing and len(inbox) >= 4:
@@ -609,6 +653,7 @@ class HubServer:
                     return
                 frame = bytes(inbox[:end])
                 del inbox[:end]
+                peer.deadline = now + IDLE_TIMEOUT_S
                 try:
                     ack = self.hub.ingest(decode_envelope(frame))
                 except TransientStoreError:

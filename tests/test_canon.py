@@ -1,7 +1,9 @@
 """Canonical serialization: goldens, round trips, digest determinism."""
 
+import dataclasses
 import json
 import re
+import subprocess
 import sys
 import threading
 import typing
@@ -9,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum, IntEnum
+from pathlib import Path
 from typing import Any, Optional, Union
 
 import pytest
@@ -390,3 +393,105 @@ def test_round_trip_property(uid, n, ratio, tags, weights, note):
 def test_string_rendering_matches_json(name):
     expected = '{"name":' + json.dumps(name, ensure_ascii=False) + ',"score":0.5}'
     assert canonical_encode(Inner(name, 0.5)) == expected
+
+
+class Name(str):
+    pass
+
+
+# each line as the closure-walk encoder that preceded the generated one wrote
+# it: a value whose runtime type is not its declared type renders by its
+# runtime type, and a None field is left out whether optional or not
+SAMPLE_TAIL = '"uid":"u1","weights":{"a":0.25,"z":1},"when":"2024-05-06T07:08:09Z"}'
+RUNTIME_TYPE_LINES = {
+    "bool-in-float": (
+        make_sample(ratio=True),
+        '{"born":"1990-12-31","color":"RED","inner":{"name":"x","score":2.5},'
+        '"n":3,"ratio":true,"tags":["b","a"],' + SAMPLE_TAIL),
+    "int-in-float": (
+        make_sample(ratio=3),
+        '{"born":"1990-12-31","color":"RED","inner":{"name":"x","score":2.5},'
+        '"n":3,"ratio":3,"tags":["b","a"],' + SAMPLE_TAIL),
+    "bool-in-nested-float": (
+        make_sample(inner=Inner("x", False)),
+        '{"born":"1990-12-31","color":"RED","inner":{"name":"x","score":false},'
+        '"n":3,"ratio":0.5,"tags":["b","a"],' + SAMPLE_TAIL),
+    "str-subclass": (
+        make_sample(uid=Name('ué"1'), tags=[Name("t")]),
+        '{"born":"1990-12-31","color":"RED","inner":{"name":"x","score":2.5},'
+        '"n":3,"ratio":0.5,"tags":["t"],"uid":"ué\\"1",'
+        '"weights":{"a":0.25,"z":1},"when":"2024-05-06T07:08:09Z"}'),
+    "int-enum-in-int": (
+        make_sample(n=Level.LOW),
+        '{"born":"1990-12-31","color":"RED","inner":{"name":"x","score":2.5},'
+        '"n":"LOW","ratio":0.5,"tags":["b","a"],' + SAMPLE_TAIL),
+    "tuple-for-list": (
+        make_sample(tags=("b", "a")),
+        '{"born":"1990-12-31","color":"RED","inner":{"name":"x","score":2.5},'
+        '"n":3,"ratio":0.5,"tags":["b","a"],' + SAMPLE_TAIL),
+    "none-in-non-optional": (
+        make_sample(uid=None, inner=None),
+        '{"born":"1990-12-31","color":"RED","n":3,"ratio":0.5,"tags":["b","a"],'
+        '"weights":{"a":0.25,"z":1},"when":"2024-05-06T07:08:09Z"}'),
+}
+
+
+@pytest.mark.parametrize("record, line", RUNTIME_TYPE_LINES.values(),
+                         ids=RUNTIME_TYPE_LINES)
+def test_a_value_of_another_runtime_type_renders_as_before(record, line):
+    assert canonical_encode(record) == line
+
+
+def test_importing_the_cli_generates_no_record_function():
+    # plans are built on first use, so setup never pays for exec
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import labelloop.cli; from labelloop import canon; "
+            "print(len(canon._RECORD_ENCODERS), len(canon._RECORD_DECODERS), "
+            "len(canon._VALUE_ENCODERS))")
+    src = str(Path(canon.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-E", "-s", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["0", "0", "0"]
+
+
+def walked_line(record) -> str:
+    """The record rendered field by field through the dispatch on each
+    value's runtime type, as the encoder before the generated ones did."""
+    values = [(f.name, getattr(record, f.name))
+              for f in sorted(dataclasses.fields(record), key=lambda f: f.name)
+              if f.metadata.get("canon") != "exclude"]
+    return "{" + ",".join(json.dumps(name) + ":" + canon._encode_value(v)
+                          for name, v in values if v is not None) + "}"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+names = text_strategy | st.builds(Name, text_strategy)
+
+
+@given(
+    uid=st.none() | names,
+    n=st.integers() | st.booleans() | st.just(Level.LOW),
+    ratio=finite | st.integers() | st.booleans(),
+    color=st.sampled_from(Color) | st.just(Level.LOW),
+    tags=st.lists(names, max_size=3) | st.lists(names, max_size=3).map(tuple),
+    inner=st.none() | st.builds(Inner, names, finite | st.integers() | st.booleans()),
+    note=st.none() | names,
+)
+def test_generated_encoder_matches_the_runtime_type_dispatch(uid, n, ratio, color,
+                                                             tags, inner, note):
+    s = make_sample(uid=uid, n=n, ratio=ratio, color=color, tags=tags, inner=inner,
+                    note=note)
+    assert canonical_encode(s) == walked_line(s)
+
+
+@dataclass(frozen=True)
+class Node:
+    value: int
+    child: Optional["Node"] = None
+
+
+def test_a_record_that_nests_its_own_class_round_trips(fresh_plans):
+    tree = Node(1, Node(2, Node(3)))
+    line = canonical_encode(tree)
+    assert line == '{"child":{"child":{"value":3},"value":2},"value":1}'
+    assert canonical_decode(line, Node) == tree

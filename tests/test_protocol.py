@@ -369,6 +369,120 @@ def test_hub_keeps_one_copy_of_each_envelope():
                                      for e in envelopes if e.kind is kind]
 
 
+# ---------------------------------------------------------------------------
+# a re-sent envelope is answered from the store; a payload has one wire form
+
+
+NOT_CANONICAL = "payload is not the canonical line of its record"
+
+
+def reversed_keys(value):
+    if isinstance(value, dict):
+        return {k: reversed_keys(value[k]) for k in reversed(list(value))}
+    if isinstance(value, list):
+        return [reversed_keys(v) for v in value]
+    return value
+
+
+def test_a_payload_in_another_wire_form_is_rejected(fixture_study):
+    # once ACCEPTED, after which the canonical envelope of the same record
+    # was refused as an idempotency conflict
+    e = make_envelope("siteA", EnvelopeKind.STUDY,
+                      dataclasses.replace(fixture_study, order_text="CT t\u00eate"), NOW)
+    other = json.dumps(reversed_keys(json.loads(e.payload)), indent=2, ensure_ascii=True)
+    hub = Hub()
+    assert hub.ingest(_forged(e, other)) == Ack(e.envelope_id, AckStatus.REJECTED,
+                                                NOT_CANONICAL)
+    assert hub.stored_count() == 0
+    assert hub.ingest(e).status is AckStatus.ACCEPTED
+
+
+@st.composite
+def reserialized(draw, payload: str) -> str:
+    """The payload's JSON tree written with other key order, spacing or escapes."""
+    obj = json.loads(payload)
+    if draw(st.booleans()):
+        obj = reversed_keys(obj)
+    return json.dumps(obj, ensure_ascii=draw(st.booleans()),
+                      indent=draw(st.sampled_from([None, 0, 2])),
+                      separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])),
+                      sort_keys=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_payload_other_than_its_records_canonical_line_is_never_accepted(data):
+    e = data.draw(st.sampled_from(real_envelopes()))
+    same_record = data.draw(st.booleans())
+    payload = data.draw(reserialized(e.payload) if same_record else mutated(e.payload))
+    ack = Hub().ingest(_forged(e, payload))
+    if ack.status is AckStatus.ACCEPTED:
+        record = canonical_decode(payload, protocol._KINDS[e.kind].payload)
+        assert canonical_encode(record) == payload
+    if same_record and payload != e.payload:
+        assert ack == Ack(e.envelope_id, AckStatus.REJECTED, NOT_CANONICAL)
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Patch ``module.name`` to record each call; return the record."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_re_sent_envelope_is_answered_from_the_store(monkeypatch):
+    hub = Hub()
+    e = env_of()
+    assert hub.ingest(e).status is AckStatus.ACCEPTED
+    again = decode_envelope(encode_envelope(e))  # equal, but another object
+    assert again is not e
+    decoded = count_calls(monkeypatch, protocol, "canonical_decode")
+    hashed = count_calls(monkeypatch, protocol, "digest_text")
+    assert hub.ingest(again) == Ack(e.envelope_id, AckStatus.DUPLICATE)
+    assert decoded == [] and hashed == []
+    assert hub.envelopes() == [e]
+
+
+CHANGED_RE_PRESENTATIONS = {
+    "site_id": (lambda e: dataclasses.replace(e, site_id="siteB"),
+                "idempotency_key 'siteA/LABELSET/R1' is not 'siteB/LABELSET/R1'"),
+    "kind": (lambda e: dataclasses.replace(e, kind=EnvelopeKind.REPORT),
+             "undecodable payload: unknown field(s) for InteractiveReport: ['labels']"),
+    "schema_version": (lambda e: dataclasses.replace(e, schema_version=2),
+                       "unsupported schema_version 2"),
+    "payload": (lambda e: _forged(e, env_of(labelset(n=2)).payload),
+                "idempotency conflict"),
+    "payload_digest": (lambda e: dataclasses.replace(e, payload_digest=digest_text("x")),
+                       "payload digest mismatch"),
+}
+
+
+@pytest.mark.parametrize("change, reason", CHANGED_RE_PRESENTATIONS.values(),
+                         ids=CHANGED_RE_PRESENTATIONS)
+def test_a_re_presentation_with_one_field_changed_goes_through_the_gate(change, reason):
+    hub = Hub()
+    e = env_of()
+    assert hub.ingest(e).status is AckStatus.ACCEPTED
+    assert hub.ingest(change(e)) == Ack(e.envelope_id, AckStatus.REJECTED, reason)
+    assert hub.envelopes() == [e]
+
+
+def test_a_store_fault_on_a_re_sent_envelope_raises_and_changes_nothing():
+    hub = Hub()
+    e = env_of()
+    assert hub.ingest(e).status is AckStatus.ACCEPTED
+    hub.fail_next_ingests(1)
+    with pytest.raises(TransientStoreError):
+        hub.ingest(e)
+    assert hub.envelopes() == [e]
+    assert hub.ingest(e).status is AckStatus.DUPLICATE
+
+
 def test_retry_succeeds_after_two_failures():
     hub = Hub()
     hub.fail_next_ingests(2)
@@ -473,6 +587,34 @@ def test_a_connection_beyond_the_cap_is_closed_unread(monkeypatch):
             sock.sendall(encode_envelope(env_of(labelset(f"R{i}"))))
             assert read_ack(sock).status is AckStatus.DUPLICATE
     assert hub.stored_count() == 2
+
+
+def test_silent_peers_are_closed_once_idle_so_the_cap_frees(monkeypatch):
+    # silent connections once held every slot for as long as they stayed open
+    monkeypatch.setattr(protocol, "MAX_CONNECTIONS", 2)
+    monkeypatch.setattr(protocol, "IDLE_TIMEOUT_S", 0.4)
+    hub = Hub()
+    with served(hub) as (host, port), ExitStack() as stack:
+        silent = [stack.enter_context(socket.create_connection((host, port), timeout=5))
+                  for _ in range(2)]
+        silent[1].sendall(encode_envelope(env_of())[:6])  # a frame never finished
+        for sock in silent:
+            assert sock.recv(1) == b""  # the hub closed it within the 5 s
+        with TcpClient(host, port) as client:
+            assert client.submit(env_of()).status is AckStatus.ACCEPTED
+    assert hub.stored_count() == 1
+
+
+def test_a_peer_that_keeps_completing_frames_stays_open(monkeypatch):
+    monkeypatch.setattr(protocol, "IDLE_TIMEOUT_S", 0.5)
+    with served(Hub()) as (host, port), TcpClient(host, port) as client:
+        statuses = []
+        # two idle timeouts on one connection; a close by the hub would
+        # raise TransientStoreError from submit
+        for i in range(10):
+            statuses.append(client.submit(env_of(labelset(f"R{i}"))).status)
+            time.sleep(0.1)
+    assert statuses == [AckStatus.ACCEPTED] * 10
 
 
 def test_the_hub_serves_every_connection_from_one_thread():
