@@ -12,7 +12,8 @@ output (the verify verdict, the report table).
 
 Config precedence is flags > environment > file: ``--seed`` overrides
 ``LABELLOOP_SEED`` overrides the scenario's stored seed, and ``--cusum-h``
-overrides ``LABELLOOP_CUSUM_H`` overrides the built-in detection threshold.
+overrides ``LABELLOOP_CUSUM_H`` overrides the built-in detection threshold;
+a threshold that is not finite and > 0 is a config error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import enum
+import math
 import os
 import sys
 from pathlib import Path
@@ -79,9 +81,14 @@ def cmd_simulate(scenario_path: str, out_dir: str, seed: int | None = None,
     if bad:
         print(bad, file=err)
         return ExitCode.INVALID
+    h_source = CUSUM_H_ENV_VAR if cusum_h is None else "--cusum-h"
     cusum_h, bad = _resolve_override(cusum_h, CUSUM_H_ENV_VAR, float)
     if bad:
         print(bad, file=err)
+        return ExitCode.INVALID
+    # nan and inf switch the detector off; 0 and below fire on in-control noise
+    if cusum_h is not None and not 0 < cusum_h < math.inf:
+        print(f"{h_source}: must be finite and > 0, got {cusum_h!r}", file=err)
         return ExitCode.INVALID
 
     if seed is not None:
@@ -128,14 +135,13 @@ def _parse_listen(listen: str) -> tuple[str, int] | None:
     return host, port
 
 
-def cmd_hub(listen: str, spool_dir: str | None = None, on_ready=None,
-            err=None) -> ExitCode:
+def cmd_hub(listen: str, spool_dir: str | None = None, on_ready=None) -> ExitCode:
     """Host the ingest endpoint until interrupted.
 
     ``on_ready`` receives the bound server before serving starts; the
     default of None leaves plain serve-until-SIGINT behaviour.
     """
-    err = err or sys.stderr
+    err = sys.stderr
     addr = _parse_listen(listen)
     if addr is None:
         print(f"--listen must be ADDR:PORT, got {listen!r}", file=err)
@@ -196,8 +202,8 @@ def _read_rows(path: Path) -> list[dict]:
         return list(csv.DictReader(f))
 
 
-def cmd_report(bundle_dir: str, out=None, err=None) -> ExitCode:
-    out, err = out or sys.stdout, err or sys.stderr
+def cmd_report(bundle_dir: str) -> ExitCode:
+    out, err = sys.stdout, sys.stderr
     bundle = Path(bundle_dir)
     if not bundle.is_dir():
         print(f"bundle directory not found: {bundle_dir}", file=err)

@@ -49,7 +49,6 @@ from .model import (
 )
 from .monitoring import (
     DEFAULT_CUSUM_H, NO_ALGORITHM, Alert, AlertKind, MonitoringEngine,
-    Notification,
 )
 from .protocol import (
     AckStatus, AlertAck, EnvelopeKind, Hub, InProcessClient, is_plain_name,
@@ -282,10 +281,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return canonical_decode(line, ScenarioConfig)
 
 
-def make_scenario(seed: int = 424242, n_sites: int = 3, n_algorithms: int = 2,
-                  n_studies: int = 2000, drift: bool = True) -> ScenarioConfig:
-    """The reference multi-site scenario; drift degrades the first algorithm
-    at per-site study 500."""
+def make_scenario(seed: int = 424242, n_sites: int = 3, n_studies: int = 2000,
+                  drift: bool = True) -> ScenarioConfig:
+    """The reference multi-site scenario, with two algorithms; drift degrades
+    the first at per-site study 500."""
     mix = {"NODULE": 0.3, "EFFUSION": 0.2, "FRACTURE": 0.15,
            "PNEUMOTHORAX": 0.1, "HEMORRHAGE": 0.08, "ANEURYSM": 0.05}
     radiologist = RadiologistProfile(
@@ -308,7 +307,7 @@ def make_scenario(seed: int = 424242, n_sites: int = 3, n_algorithms: int = 2,
                 localization_sigma=4.0,
             ),
         )
-        for i in range(n_algorithms)
+        for i in range(2)
     ]
     events = []
     assertions = ScenarioAssertions()
@@ -653,9 +652,6 @@ class ScenarioResult:
     hub: Hub
     registry: Registry
     monitoring: MonitoringEngine
-    agreements: list[StudyAgreement]
-    phi_tokens: list[str]
-    notifications: list[Notification]
     assertion_failures: list[str]
 
 
@@ -729,11 +725,9 @@ class _Run:
 
         self.policies = {s.site_id: default_policy(_site_secret(master, s.site_id))
                          for s in cfg.sites}
-        self.phi_tokens: list[str] = []
         self.agreements: list[StudyAgreement] = []
         self.alerts: list[Alert] = []
         self.recipients: dict[str, list[str]] = {}
-        self.notifications: list[Notification] = []
         self.change_points: dict[tuple[str, str, str], int] = {}
         self.external_changes: dict[str, int] = {}
         self.counts = {s.site_id: {"accepted": 0, "duplicates": 0, "rejected": 0}
@@ -772,7 +766,6 @@ class _Run:
         s.study, s.truth = generate_case(self.rngs[s.sid, "case"],
                                          s.state.case_mix, s.state)
         s.at = s.study.acquired_at + timedelta(seconds=_REPORT_DELAY_S)
-        self.phi_tokens.extend(s.study.identity.phi_tokens)
 
     def report(self, s: _Study) -> None:
         serial = s.state.study_serial
@@ -831,7 +824,6 @@ class _Run:
         for alert in s.alerts:
             self.alerts.append(alert)
             notes = self.engine.propagate(alert, self.registry, s.at)
-            self.notifications.extend(notes)
             self.recipients[alert.alert_id] = [n.recipient for n in notes]
             for note in notes:
                 if note.recipient == "developer":
@@ -857,10 +849,7 @@ class _Run:
                                audit_verdict=verdict)
         failures = _check_assertions(cfg, bundle, self.change_points)
         return ScenarioResult(bundle=bundle, hub=self.hub, registry=registry,
-                              monitoring=self.engine, agreements=self.agreements,
-                              phi_tokens=sorted(set(self.phi_tokens)),
-                              notifications=self.notifications,
-                              assertion_failures=failures)
+                              monitoring=self.engine, assertion_failures=failures)
 
 
 def run_scenario(cfg: ScenarioConfig, h: float = DEFAULT_CUSUM_H) -> ScenarioResult:

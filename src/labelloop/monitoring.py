@@ -12,12 +12,14 @@ one-sided Bernoulli CUSUM on the remainder:
 and resets to zero on every fire, with p0 floored at ``P0_FLOOR`` = 0.01. The
 slack k = ``CUSUM_K`` = 0.05 absorbs in-control jitter. The decision interval
 h is the detector's one setting (``labelloop simulate --cusum-h`` or
-``LABELLOOP_CUSUM_H``); it trades detection delay against false alarms. The
-default h = ``DEFAULT_CUSUM_H`` = 10.0 was set by the replay harness: a
-0.9 -> 0.6 agreement drop is caught within ~60 events while in-control
-streams of 10,000 events (p0 estimated, 20 seeds) average 0.05 false alarms
-(at h = 2.0 the in-control average run length is about 117 events, which is
-unusable, and h = 8.0 still averages 0.45 against estimation noise).
+``LABELLOOP_CUSUM_H``, finite and > 0); it trades detection delay against
+false alarms. The default h = ``DEFAULT_CUSUM_H`` = 10.0 was set by
+replaying raw 0/1 streams through an ``AgreementStream`` (``replay_events``
+in ``tests/support.py``): a 0.9 -> 0.6 agreement drop is caught within ~60
+events while in-control streams of 10,000 events (p0 estimated, 20 seeds)
+average 0.05 false alarms (at h = 2.0 the in-control average run length is
+about 117 events, which is unusable, and h = 8.0 still averages 0.45 against
+estimation noise).
 
 Alert severity grades on the agreement rate observed over the excursion that
 fired (the events since s_plus last left zero): CRITICAL when that rate has
@@ -48,9 +50,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from enum import Enum
-from typing import Iterable
 
 from .canon import canonical_digest, digest_text
 from .feedback import StudyAgreement
@@ -60,7 +61,7 @@ from .registry import AuditAction
 __all__ = [
     "AlertKind", "AlertSeverity", "Alert", "AlertEvidence", "Notification",
     "AgreementStream", "PrevalenceProfile", "MonitoringEngine", "cusum_step",
-    "replay_events", "events_of",
+    "events_of",
 ]
 
 NO_FINDING_BIN = "NO_FINDING"
@@ -198,7 +199,6 @@ class PrevalenceProfile:
         self.calibration: dict[str, int] = {}
         self.window_counts: dict[str, int] = {}
         self.window_studies = 0
-        self.checks_run = 0
 
     def observe(self, codes: set[FindingCode], raised_at: datetime) -> Alert | None:
         self.study_count += 1
@@ -215,7 +215,6 @@ class PrevalenceProfile:
         stat = _chi_square(self.window_counts, self.calibration)
         self.window_counts = {}
         self.window_studies = 0
-        self.checks_run += 1
         if stat <= CHI2_THRESHOLD:
             return None
         severity = (AlertSeverity.CRITICAL if stat > 2 * CHI2_THRESHOLD
@@ -309,17 +308,3 @@ class MonitoringEngine:
                               at=delivered_at)
         return [Notification(alert.alert_id, r, delivered_at) for r in recipients]
 
-
-def replay_events(events: Iterable[int], h: float = DEFAULT_CUSUM_H) -> list[int]:
-    """Drive a raw 0/1 stream through the real calibration + CUSUM path and
-    return the 1-based event indices at which the detector fired. The loop
-    never calls it: it is the h tuning harness behind criterion 5 and
-    the numbers in this module's docstring."""
-    stream = AgreementStream("replay", "alg", "1", h)
-    at = datetime(2024, 1, 1, tzinfo=timezone.utc)
-    fires = []
-    for x in events:
-        alert = stream.observe_event(x, at)
-        if alert is not None:
-            fires.append(stream.event_count)
-    return fires

@@ -2,9 +2,9 @@
 
 Transport framing is a 4-byte big-endian length, at most
 ``MAX_FRAME_BYTES``, followed by one UTF-8 JSON body (the envelope's
-canonical line); client and server read frames through one reader. The same
-line, unframed, is what spool files (`*.env.jsonl`) carry, one envelope per
-line, when ``labelloop hub --spool`` keeps the accepted envelopes.
+canonical line, which ``envelope_from_line`` reads back and checks). The
+same line, unframed, is what spool files (`*.env.jsonl`) carry, one envelope
+per line, when ``labelloop hub --spool`` keeps the accepted envelopes.
 ``HubServer`` serves every peer from one thread, at most ``MAX_CONNECTIONS``
 at once, and closes a peer that completes no frame for ``IDLE_TIMEOUT_S``.
 
@@ -57,10 +57,9 @@ __all__ = [
     "MAX_UNSENT_ACK_BYTES", "EnvelopeKind", "AckStatus", "Envelope",
     "Ack", "AlertAck", "FrameError", "IntegrityError", "VersionError",
     "TransientStoreError", "DeliveryError", "make_envelope", "encode_envelope",
-    "decode_envelope", "envelope_to_line", "envelope_from_line", "Hub",
-    "submit_batch", "InProcessClient", "TcpClient", "HubServer",
-    "write_spool", "is_plain_name", "RETRY_BASE_SECONDS", "RETRY_FACTOR",
-    "RETRY_MAX_ATTEMPTS",
+    "envelope_from_line", "Hub", "submit_batch", "InProcessClient", "TcpClient",
+    "HubServer", "write_spool", "is_plain_name", "RETRY_BASE_SECONDS",
+    "RETRY_FACTOR", "RETRY_MAX_ATTEMPTS",
 ]
 
 SCHEMA_VERSION = 1
@@ -186,11 +185,6 @@ def _check_envelope(e: Envelope) -> None:
         raise IntegrityError("payload digest mismatch")
 
 
-def envelope_to_line(e: Envelope) -> str:
-    _check_envelope(e)
-    return canonical_encode(e)
-
-
 def envelope_from_line(line: str) -> Envelope:
     try:
         e = canonical_decode(line, Envelope)
@@ -215,20 +209,7 @@ def _frame_size(header: bytes | bytearray) -> int:
 
 
 def encode_envelope(e: Envelope) -> bytes:
-    return _frame(envelope_to_line(e))
-
-
-def decode_envelope(frame: bytes) -> Envelope:
-    if len(frame) < 4:
-        raise FrameError("frame shorter than its length prefix")
-    n = int.from_bytes(frame[:4], "big")
-    if len(frame) != 4 + n:
-        raise FrameError(f"frame length {len(frame) - 4} != declared {n}")
-    try:
-        body = frame[4:].decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise FrameError(f"frame body is not UTF-8: {err}") from None
-    return envelope_from_line(body)
+    return _frame(canonical_encode(e))
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +295,7 @@ class Hub:
     def __init__(self, spool_dir: str | Path | None = None):
         self._lock = threading.Lock()
         self._envelopes: dict[str, Envelope] = {}
-        self._fail_budget = 0
         self._spool_dir = spool_dir
-
-    def fail_next_ingests(self, n: int) -> None:
-        """Fault injection: the next ``n`` ingests that pass validation raise
-        ``TransientStoreError`` and store nothing. The retry and idempotency
-        tests drive ``submit_batch`` and the TCP path through it."""
-        with self._lock:
-            self._fail_budget = n
-
-    def _spend_fail_budget(self) -> None:
-        """Under the lock: raise while injected faults remain."""
-        if self._fail_budget > 0:
-            self._fail_budget -= 1
-            raise TransientStoreError("storage unavailable, retry")
 
     def ingest(self, e: Envelope) -> Ack:
         if isinstance(e.idempotency_key, str):
@@ -340,7 +307,6 @@ class Hub:
                         and known.payload_digest == e.payload_digest
                         and known.site_id == e.site_id and known.kind is e.kind
                         and known.schema_version == e.schema_version):
-                    self._spend_fail_budget()
                     return Ack(e.envelope_id, AckStatus.DUPLICATE)
         if not is_plain_name(e.site_id):
             return Ack(e.envelope_id, AckStatus.REJECTED,
@@ -367,7 +333,6 @@ class Hub:
         if problems:
             return Ack(e.envelope_id, AckStatus.REJECTED, "; ".join(problems))
         with self._lock:
-            self._spend_fail_budget()
             known = self._envelopes.get(e.idempotency_key)
             if known is not None:
                 if known.payload_digest == e.payload_digest:
@@ -381,19 +346,9 @@ class Hub:
             self._envelopes[e.idempotency_key] = e
         return Ack(e.envelope_id, AckStatus.ACCEPTED)
 
-    def stored_count(self, key: str | None = None) -> int:
+    def stored_count(self) -> int:
         with self._lock:
-            if key is None:
-                return len(self._envelopes)
-            return 1 if key in self._envelopes else 0
-
-    def records(self, kind: EnvelopeKind) -> list:
-        """The store read back as typed records of ``kind``, in acceptance
-        order, decoded on each call. The acceptance check of the matching
-        oracle reads the hub's labels and outputs through it."""
-        with self._lock:
-            payloads = [e.payload for e in self._envelopes.values() if e.kind is kind]
-        return [canonical_decode(p, _KINDS[kind].payload) for p in payloads]
+            return len(self._envelopes)
 
     def envelopes(self) -> list[Envelope]:
         with self._lock:
@@ -404,7 +359,7 @@ def write_spool(spool_dir: str | Path, name: str, envelopes: Iterable[Envelope])
     path = Path(spool_dir) / f"{name}.env.jsonl"
     with open(path, "a", encoding="utf-8") as f:
         for e in envelopes:
-            f.write(envelope_to_line(e) + "\n")
+            f.write(canonical_encode(e) + "\n")
     return path
 
 
@@ -651,14 +606,16 @@ class HubServer:
             else:
                 if len(inbox) < end:
                     return
-                frame = bytes(inbox[:end])
+                body = inbox[4:end]
                 del inbox[:end]
                 peer.deadline = now + IDLE_TIMEOUT_S
                 try:
-                    ack = self.hub.ingest(decode_envelope(frame))
+                    ack = self.hub.ingest(envelope_from_line(body.decode("utf-8")))
                 except TransientStoreError:
                     peer.closing = True  # no ack: the client retries on a new connection
                     return
+                except UnicodeDecodeError as err:  # ingest raises only TransientStoreError
+                    ack = Ack("", AckStatus.REJECTED, f"frame body is not UTF-8: {err}")
                 except FrameError as err:
                     ack = Ack("", AckStatus.REJECTED, str(err))
             peer.outbox += _frame(canonical_encode(ack))

@@ -294,8 +294,8 @@ def bind_anchors(parsed: ParsedReport) -> list[tuple[HyperlinkAnchor, int, _Ment
 
 
 def extract_labels(parsed: ParsedReport) -> tuple[list[ExtractedLabel], list[Diagnostic]]:
-    """One label per (sentence, finding) mention; anomalies surface as
-    diagnostics and are never silently dropped."""
+    """One label per (sentence, finding) mention. Anomalies are returned to
+    the caller as diagnostics; the loop does not record them."""
     report = parsed.report
     diagnostics: list[Diagnostic] = []
 

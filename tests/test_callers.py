@@ -22,17 +22,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "labelloop"
 
-# public names no code path of the loop calls, each with its reason to exist
-ALLOWED = {
-    "protocol.Hub.fail_next_ingests":
-        "fault injection behind the retry and idempotency tests",
-    "protocol.Hub.records":
-        "the typed read of the store that the acceptance checks use",
-    "monitoring.replay_events":
-        "the (k, h) tuning harness behind criterion 5 and monitoring's numbers",
-}
-
-
 def _bound_names(node: ast.stmt) -> list[str]:
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [node.name]
@@ -95,25 +84,17 @@ def test_every_public_name_has_a_caller():
                 return not inside and not (method and bare)
             if not any(calls(ref) for ref in seen.get(name, ())):
                 uncalled.append(qualified)
-    assert sorted(set(uncalled) - set(ALLOWED)) == []
-    # an allowlisted name that gained a caller leaves the list
-    assert sorted(set(ALLOWED) - set(uncalled)) == []
+    assert uncalled == []
 
 
 # defaulted parameters no call outside the tests passes, each a test seam
 ALLOWED_DEFAULTS = {
     "cli.cmd_hub(on_ready)": "hands the bound server to a test before serving",
-    "cli.cmd_hub(err)": "captures diagnostics in a test",
-    "cli.cmd_report(out)": "captures the table in a test",
-    "cli.cmd_report(err)": "captures diagnostics in a test",
     "cli.main(argv)": "argparse reads sys.argv when it is None",
-    "harness.make_scenario(n_algorithms)": "the one-algorithm drill scenarios",
     "harness.DriftEvent.__init__(code)": "read from scenario files",
     "harness.DriftEvent.__init__(new_probability)": "read from scenario files",
     "harness.DriftEvent.__init__(new_sigma)": "read from scenario files",
     "harness.ScenarioAssertions.__init__(expect_no_alerts)": "read from scenario files",
-    "monitoring.replay_events(h)": "the tuning harness varies h",
-    "protocol.Hub.stored_count(key)": "a test asks whether one key is stored",
     "protocol.submit_batch(sleep)": "tests record the backoff without sleeping",
 }
 

@@ -25,7 +25,7 @@ from labelloop.canon import (
 from labelloop.model import IdentityBlock, ImageRef, Modality, StudyRecord
 from labelloop.protocol import Envelope, EnvelopeKind, make_envelope
 
-from conftest import golden_text
+from support import golden_text
 
 
 class Color(Enum):

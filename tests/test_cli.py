@@ -9,7 +9,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import join_or_fail, served
+from support import join_or_fail, served
 from labelloop.cli import (
     ExitCode, _resolve_override, cmd_hub, cmd_report, cmd_simulate,
     cmd_verify_audit, main,
@@ -30,9 +30,13 @@ from labelloop.reports import ExtractedLabel, LabelSet, LabelStrength, Polarity
 T0 = datetime(2024, 3, 1, tzinfo=timezone.utc)
 
 
+def one_algorithm(cfg):
+    return dataclasses.replace(cfg, algorithms=cfg.algorithms[:1])
+
+
 def quiet_scenario(seed=13, n_studies=40):
-    cfg = make_scenario(seed=seed, n_sites=1, n_algorithms=1,
-                        n_studies=n_studies, drift=False)
+    cfg = one_algorithm(make_scenario(seed=seed, n_sites=1, n_studies=n_studies,
+                                      drift=False))
     return dataclasses.replace(
         cfg, assertions=ScenarioAssertions(expect_no_alerts=True))
 
@@ -104,8 +108,8 @@ class TestSimulate:
     def test_unmet_assertion_exits_four_but_writes_bundle(self, tmp_path):
         # an unreachable threshold suppresses every alert, so the embedded
         # detection budget cannot be met
-        cfg = make_scenario(seed=31, n_sites=1, n_algorithms=1,
-                            n_studies=600, drift=True)
+        cfg = one_algorithm(make_scenario(seed=31, n_sites=1, n_studies=600,
+                                          drift=True))
         path = tmp_path / "drift.json"
         save_scenario(cfg, path)
         out = tmp_path / "out"
@@ -144,6 +148,25 @@ class TestSimulate:
         code = cmd_simulate(str(scenario), str(tmp_path / "out"), err=err)
         assert code is ExitCode.INVALID
         assert "LABELLOOP_CUSUM_H" in err.getvalue()
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("source", ["--cusum-h", "LABELLOOP_CUSUM_H"])
+    def test_a_threshold_not_finite_and_positive_is_invalid(
+            self, tmp_path, monkeypatch, capsys, source, raw):
+        # nan and inf once switched the detector off, and 0 and -1 raised
+        # hundreds of alerts on a drill run, all without a config error
+        scenario = tmp_path / "s.json"
+        save_scenario(quiet_scenario(n_studies=5), scenario)
+        out = tmp_path / "out"
+        argv = ["simulate", "--scenario", str(scenario), "--out", str(out)]
+        if source == "--cusum-h":
+            argv.append(f"--cusum-h={raw}")
+        else:
+            monkeypatch.setenv(source, raw)
+        assert main(argv) == ExitCode.INVALID
+        assert capsys.readouterr().err == (
+            f"{source}: must be finite and > 0, got {float(raw)!r}\n")
+        assert not out.exists()
 
     def test_resolve_override_precedence(self, monkeypatch):
         monkeypatch.setenv("LABELLOOP_SEED", "7")
@@ -271,20 +294,18 @@ class TestReport:
         assert len(summary) == len(lines)
 
     def test_rerun_is_byte_identical(self, bundle_dir):
-        out = io.StringIO()
-        assert cmd_report(str(bundle_dir), out=out) is ExitCode.OK
+        assert cmd_report(str(bundle_dir)) is ExitCode.OK
         first = (bundle_dir / "summary.csv").read_bytes()
-        assert cmd_report(str(bundle_dir), out=io.StringIO()) is ExitCode.OK
+        assert cmd_report(str(bundle_dir)) is ExitCode.OK
         assert (bundle_dir / "summary.csv").read_bytes() == first
 
-    def test_empty_bundle_dir_is_invalid(self, tmp_path):
-        err = io.StringIO()
-        code = cmd_report(str(tmp_path), err=err)
+    def test_empty_bundle_dir_is_invalid(self, tmp_path, capsys):
+        code = cmd_report(str(tmp_path))
         assert code is ExitCode.INVALID
-        assert "incomplete bundle" in err.getvalue()
+        assert "incomplete bundle" in capsys.readouterr().err
 
     def test_missing_bundle_dir_is_transient_io(self, tmp_path):
-        code = cmd_report(str(tmp_path / "nowhere"), err=io.StringIO())
+        code = cmd_report(str(tmp_path / "nowhere"))
         assert code is ExitCode.TRANSIENT_IO
 
 
@@ -318,18 +339,16 @@ def run_hub(drive, **kwargs) -> ExitCode:
 
 
 class TestHub:
-    def test_bad_listen_string_is_invalid(self):
-        err = io.StringIO()
-        assert cmd_hub("nonsense", err=err) is ExitCode.INVALID
-        assert "ADDR:PORT" in err.getvalue()
+    def test_bad_listen_string_is_invalid(self, capsys):
+        assert cmd_hub("nonsense") is ExitCode.INVALID
+        assert "ADDR:PORT" in capsys.readouterr().err
 
-    def test_a_port_in_use_is_transient_io(self):
-        err = io.StringIO()
+    def test_a_port_in_use_is_transient_io(self, capsys):
         with served(Hub()) as (host, port):
-            assert cmd_hub(f"{host}:{port}", err=err) is ExitCode.TRANSIENT_IO
-        assert f"cannot bind {host}:{port}" in err.getvalue()
+            assert cmd_hub(f"{host}:{port}") is ExitCode.TRANSIENT_IO
+        assert f"cannot bind {host}:{port}" in capsys.readouterr().err
 
-    def test_serves_ingest_and_spools_once(self, tmp_path):
+    def test_serves_ingest_and_spools_once(self, tmp_path, capsys):
         spool = tmp_path / "spool"
         envelopes = [sample_envelope(i) for i in range(4)]
         acks = []
@@ -339,9 +358,8 @@ class TestHub:
                 for e in envelopes + envelopes:  # duplicates too
                     acks.append(tcp.submit(e).status.name)
 
-        err = io.StringIO()
-        assert run_hub(drive, spool_dir=str(spool), err=err) is ExitCode.OK
-        assert "listening on 127.0.0.1:" in err.getvalue()
+        assert run_hub(drive, spool_dir=str(spool)) is ExitCode.OK
+        assert "listening on 127.0.0.1:" in capsys.readouterr().err
         assert acks == ["ACCEPTED"] * 4 + ["DUPLICATE"] * 4
         # duplicates are acknowledged but never spooled
         lines = (spool / "siteZ.env.jsonl").read_text().splitlines()
@@ -366,7 +384,7 @@ class TestHub:
                 blocker.rmdir()
                 outcome["acks"] = [a.status.name for a in submit_batch(tcp, [e, e])]
 
-        assert run_hub(drive, spool_dir=str(spool), err=io.StringIO()) is ExitCode.OK
+        assert run_hub(drive, spool_dir=str(spool)) is ExitCode.OK
         assert outcome["undelivered"] == [e.envelope_id]
         assert outcome["stored"] == 0
         assert outcome["acks"] == ["ACCEPTED", "DUPLICATE"]

@@ -19,7 +19,7 @@ from labelloop.model import (
 )
 from labelloop.reports import InteractiveReport, extract_labels, parse_body
 
-from conftest import golden_text
+from support import golden_text
 
 SECRET = b"k"
 WHEN = datetime(2024, 6, 1, 12, 0, tzinfo=timezone.utc)

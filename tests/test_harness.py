@@ -10,9 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import served
-from labelloop.canon import canonical_encode
-from labelloop.feedback import ExecutionMode, aggregate_metrics
+from support import records, served
+from labelloop import harness
+from labelloop.canon import canonical_decode, canonical_encode
+from labelloop.feedback import (
+    AlgorithmOutput, ExecutionMode, aggregate_metrics, match_detections, score_study,
+)
 from labelloop.harness import (
     AlgorithmProfile, AlgorithmSpec, DriftEvent, DriftKind, RadiologistProfile,
     ScenarioAssertions, ScenarioConfig, ScenarioError, SiteConfig, TruthLesion,
@@ -39,9 +42,7 @@ def radiologist(**overrides) -> RadiologistProfile:
 
 
 def tiny_config(n_studies=50, sites=2, drift=False, seed=11) -> ScenarioConfig:
-    cfg = make_scenario(seed=seed, n_sites=sites, n_algorithms=2,
-                        n_studies=n_studies, drift=drift)
-    return cfg
+    return make_scenario(seed=seed, n_sites=sites, n_studies=n_studies, drift=drift)
 
 
 def site_state(mix=None, seed=3):
@@ -246,17 +247,36 @@ class TestRunScenario:
             assert row.tp + row.fp + row.fn > 0
 
     def test_ledger_recount_matches_agreements(self):
+        # every algorithm of tiny_config runs CENTRAL or BOTH, so the loop
+        # scores each CENTRAL output against its study's stored labels
         result = run_scenario(tiny_config(n_studies=60))
-        recount = [row for _, row in
-                   sorted(aggregate_metrics(result.agreements).items())]
+        labels = {ls.study_uid: ls.labels
+                  for ls in records(result.hub, EnvelopeKind.LABELSET)}
+        agreements = []
+        for e in result.hub.envelopes():
+            if e.kind is not EnvelopeKind.ALG_OUTPUT:
+                continue
+            output = canonical_decode(e.payload, AlgorithmOutput)
+            if output.executed is ExecutionMode.CENTRAL:
+                match = match_detections(output, labels[output.study_uid])
+                agreements.append(score_study(match, e.site_id))
+        recount = [row for _, row in sorted(aggregate_metrics(agreements).items())]
         assert recount == result.bundle.ledger
 
-    def test_no_phi_reaches_the_hub(self):
+    def test_no_phi_reaches_the_hub(self, monkeypatch):
+        phi_tokens = set()
+        real = harness.generate_case
+
+        def generate_case(*args):
+            study, truth = real(*args)
+            phi_tokens.update(study.identity.phi_tokens)
+            return study, truth
+        monkeypatch.setattr(harness, "generate_case", generate_case)
         result = run_scenario(tiny_config(n_studies=60))
-        assert result.phi_tokens  # the scan must have something to look for
+        assert phi_tokens  # the scan must have something to look for
         lines = [canonical_encode(e).casefold()
                  for e in result.hub.envelopes()]
-        for token in result.phi_tokens:
+        for token in phi_tokens:
             needle = token.casefold()
             assert all(needle not in line for line in lines), token
 
@@ -341,9 +361,7 @@ class TestDriftDelivery:
     def test_fan_out_reaches_running_sites_and_developer_once(self, drifted):
         cfg, result = drifted
         site_ids = sorted(s.site_id for s in cfg.sites)
-        per_alert: dict[str, list[str]] = {}
-        for note in result.notifications:
-            per_alert.setdefault(note.alert_id, []).append(note.recipient)
+        per_alert = result.bundle.recipients
         assert set(per_alert) == {a.alert_id for a in result.bundle.alerts}
         for alert in result.bundle.alerts:
             if alert.kind is AlertKind.EXTERNAL_DRIFT:

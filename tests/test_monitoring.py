@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from labelloop.canon import canonical_decode, canonical_encode
 from labelloop.feedback import StudyAgreement
+from labelloop import monitoring
 from labelloop.model import FindingCode
 from labelloop.monitoring import (
     Alert,
@@ -21,9 +22,9 @@ from labelloop.monitoring import (
     PrevalenceProfile,
     cusum_step,
     events_of,
-    replay_events,
 )
 from labelloop.registry import AuditAction, Registry
+from support import replay_events
 
 AT = datetime(2024, 3, 1, tzinfo=timezone.utc)
 
@@ -244,14 +245,27 @@ BASE_MIX = [
 ]
 
 
+def count_checks(monkeypatch) -> list:
+    """Record each chi-square check a profile runs."""
+    checks = []
+    real = monitoring._chi_square
+
+    def counting(*args):
+        checks.append(args)
+        return real(*args)
+    monkeypatch.setattr(monitoring, "_chi_square", counting)
+    return checks
+
+
 class TestPrevalenceProfile:
-    def test_stable_mix_stays_quiet(self):
+    def test_stable_mix_stays_quiet(self, monkeypatch):
+        checks = count_checks(monkeypatch)
         profile = PrevalenceProfile("siteA")
         rng = random.Random(5)
         n = PREVALENCE_CALIBRATION + 10 * PREVALENCE_WINDOW
         alerts = feed_profile(profile, BASE_MIX, n, rng)
         assert alerts == []
-        assert profile.checks_run == 10
+        assert len(checks) == 10
 
     def test_shifted_mix_fires(self):
         profile = PrevalenceProfile("siteA")
@@ -269,15 +283,17 @@ class TestPrevalenceProfile:
         assert alert.algorithm_id == "-" and alert.version == "-"
         assert alert.evidence.statistic > alert.evidence.threshold
 
-    def test_windows_are_tumbling_not_sliding(self):
+    def test_windows_are_tumbling_not_sliding(self, monkeypatch):
+        checks = count_checks(monkeypatch)
         profile = PrevalenceProfile("siteA")
         rng = random.Random(7)
         feed_profile(profile, BASE_MIX,
                      PREVALENCE_CALIBRATION + PREVALENCE_WINDOW - 1, rng)
-        assert profile.checks_run == 0
+        assert checks == []
         feed_profile(profile, BASE_MIX, 1, rng)
-        assert profile.checks_run == 1
+        assert len(checks) == 1
         assert profile.window_studies == 0
+        assert profile.window_counts == {}
 
     def test_small_expected_bins_pool(self):
         # a code absent from calibration must not divide by zero

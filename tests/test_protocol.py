@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import join_or_fail, served
+from support import join_or_fail, records, served, unframe
 from labelloop import protocol
 from labelloop.canon import canonical_decode, canonical_encode, digest_text
 from labelloop.feedback import AlgorithmOutput, Detection, ExecutionMode
@@ -23,9 +23,8 @@ from labelloop.model import FindingCode, Measurement, StudyRecord, Unit, box, po
 from labelloop.protocol import (
     MAX_FRAME_BYTES, Ack, AckStatus, AlertAck, DeliveryError, Envelope,
     EnvelopeKind, FrameError, Hub, InProcessClient, IntegrityError,
-    TcpClient, TransientStoreError, VersionError, decode_envelope,
-    encode_envelope, envelope_from_line, _read_frame, envelope_to_line,
-    make_envelope, submit_batch,
+    TcpClient, TransientStoreError, VersionError, encode_envelope,
+    envelope_from_line, _read_frame, make_envelope, submit_batch,
 )
 from labelloop.reports import (
     ExtractedLabel, InteractiveReport, LabelSet, LabelStrength, Polarity,
@@ -48,9 +47,18 @@ def env_of(record=None, kind=EnvelopeKind.LABELSET, site="siteA") -> Envelope:
     return make_envelope(site, kind, record or labelset(), NOW)
 
 
+def blocked_spool(tmp_path, site="siteA"):
+    """A hub spooling to ``tmp_path``, where a directory takes the place of
+    ``site``'s spool file, so that appending to it fails even for root; and
+    that directory, whose removal lifts the block."""
+    blocker = tmp_path / f"{site}.env.jsonl"
+    blocker.mkdir()
+    return Hub(spool_dir=tmp_path), blocker
+
+
 def test_round_trip_envelope():
     e = env_of()
-    assert decode_envelope(encode_envelope(e)) == e
+    assert envelope_from_line(unframe(encode_envelope(e))) == e
 
 
 def test_idempotency_key_shape():
@@ -60,7 +68,7 @@ def test_idempotency_key_shape():
 
 def test_flipped_payload_byte_is_integrity_error():
     e = env_of()
-    line = envelope_to_line(e)
+    line = canonical_encode(e)
     # corrupt one byte inside the embedded payload but keep the frame valid
     # JSON (payload quotes appear escaped inside the envelope line)
     needle = '\\"NODULE\\"'
@@ -79,7 +87,14 @@ def test_unknown_schema_version_named_in_error():
 def test_truncated_frame_rejected():
     frame = encode_envelope(env_of())
     with pytest.raises(FrameError):
-        decode_envelope(frame[:-3])
+        envelope_from_line(frame[4:-3].decode("utf-8"))
+    # the hub never ingests a frame its peer did not finish
+    hub = Hub()
+    with served(hub) as addr, socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(frame[:-3])
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(1) == b""
+    assert hub.envelopes() == []
 
 
 def test_accept_then_duplicate():
@@ -87,7 +102,7 @@ def test_accept_then_duplicate():
     e = env_of()
     assert hub.ingest(e).status is AckStatus.ACCEPTED
     assert hub.ingest(e).status is AckStatus.DUPLICATE
-    assert hub.stored_count(e.idempotency_key) == 1
+    assert hub.envelopes() == [e]
 
 
 def test_same_key_new_digest_conflict():
@@ -128,7 +143,7 @@ def test_point_detection_rejected_before_scoring():
     ack = hub.ingest(make_envelope("siteA", EnvelopeKind.ALG_OUTPUT, out, NOW))
     assert ack.status is AckStatus.REJECTED
     assert ack.reason == "detections[1] region is not a BOX"
-    assert hub.records(EnvelopeKind.ALG_OUTPUT) == []
+    assert records(hub, EnvelopeKind.ALG_OUTPUT) == []
 
 
 def test_malformed_payload_shape_rejected_not_raised(fixture_study):
@@ -175,12 +190,14 @@ def test_huge_integer_confidence_rejected(confidence):
 
 def test_lone_surrogate_in_envelope_line_is_a_frame_error():
     # the escape decodes to a payload that UTF-8 cannot hold, so it has no digest
-    line = envelope_to_line(env_of()).replace("R1", "R1\\ud800", 1)
+    line = canonical_encode(env_of()).replace("R1", "R1\\ud800", 1)
     with pytest.raises(FrameError, match="lone surrogate"):
         envelope_from_line(line)
     body = line.encode("utf-8")
-    with pytest.raises(FrameError):
-        decode_envelope(len(body).to_bytes(4, "big") + body)
+    with served(Hub()) as addr, socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(len(body).to_bytes(4, "big") + body)
+        ack = read_ack(sock)
+    assert ack.status is AckStatus.REJECTED and "lone surrogate" in ack.reason
 
 
 def test_payload_that_is_not_utf8_text_rejected():
@@ -234,10 +251,10 @@ def test_concurrent_submissions_single_winner():
     statuses = sorted(a.status.name for a in acks)
     assert statuses.count("ACCEPTED") == 1
     assert statuses.count("DUPLICATE") == 9
-    assert hub.stored_count(e.idempotency_key) == 1
+    assert hub.envelopes() == [e]
 
 
-def test_only_an_accepted_envelope_claims_its_key():
+def test_only_an_accepted_envelope_claims_its_key(tmp_path):
     good = env_of(labelset("R1", "S1"))
     invalid = env_of(dataclasses.replace(
         labelset("R1", "S1"), labels=labelset("R2", "S1").labels))
@@ -249,11 +266,11 @@ def test_only_an_accepted_envelope_claims_its_key():
     assert ack.reason == "labels[0] does not belong to this set"
     assert hub.ingest(good).status is AckStatus.ACCEPTED
 
-    hub = Hub()
-    hub.fail_next_ingests(1)
+    hub, blocker = blocked_spool(tmp_path)
     with pytest.raises(TransientStoreError):
         hub.ingest(env_of(labelset("R1", "S1", n=2)))
     assert hub.stored_count() == 0
+    blocker.rmdir()
     assert hub.ingest(good).status is AckStatus.ACCEPTED
 
     # an accepted key answers an undecodable re-presentation as undecodable,
@@ -261,7 +278,7 @@ def test_only_an_accepted_envelope_claims_its_key():
     ack = hub.ingest(_forged(good, '{"report_uid":5}'))
     assert ack.status is AckStatus.REJECTED
     assert ack.reason.startswith("undecodable payload: ")
-    assert hub.records(EnvelopeKind.LABELSET) == [labelset("R1", "S1")]
+    assert records(hub, EnvelopeKind.LABELSET) == [labelset("R1", "S1")]
 
 
 def test_an_envelope_claiming_another_key_is_rejected():
@@ -343,8 +360,8 @@ def test_hub_keeps_one_copy_of_each_envelope():
     # per key would retain about three times the payload bytes
     assert retained <= 0.5 * payload_bytes, (retained, payload_bytes)
 
-    # records() reads the store back as the accepted envelopes decoded, in
-    # acceptance order; duplicates, rejections and conflicts add none
+    # the store reads back as the accepted envelopes decoded, in acceptance
+    # order; duplicates, rejections and conflicts add none
     hub = Hub()
     labelsets = [e for e in envelopes if e.kind is EnvelopeKind.LABELSET]
     claimed = next(e for e in labelsets if canonical_decode(e.payload, LabelSet).labels)
@@ -365,8 +382,8 @@ def test_hub_keeps_one_copy_of_each_envelope():
         EnvelopeKind.ALERT_ACK: AlertAck,
     }
     for kind, cls in payload_types.items():
-        assert hub.records(kind) == [canonical_decode(e.payload, cls)
-                                     for e in envelopes if e.kind is kind]
+        assert records(hub, kind) == [canonical_decode(e.payload, cls)
+                                      for e in envelopes if e.kind is kind]
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +456,7 @@ def test_a_re_sent_envelope_is_answered_from_the_store(monkeypatch):
     hub = Hub()
     e = env_of()
     assert hub.ingest(e).status is AckStatus.ACCEPTED
-    again = decode_envelope(encode_envelope(e))  # equal, but another object
+    again = envelope_from_line(canonical_encode(e))  # equal, but another object
     assert again is not e
     decoded = count_calls(monkeypatch, protocol, "canonical_decode")
     hashed = count_calls(monkeypatch, protocol, "digest_text")
@@ -472,33 +489,44 @@ def test_a_re_presentation_with_one_field_changed_goes_through_the_gate(change, 
     assert hub.envelopes() == [e]
 
 
-def test_a_store_fault_on_a_re_sent_envelope_raises_and_changes_nothing():
-    hub = Hub()
+def test_a_re_sent_envelope_is_a_duplicate_while_the_spool_is_blocked(tmp_path):
+    hub = Hub(spool_dir=tmp_path)
     e = env_of()
     assert hub.ingest(e).status is AckStatus.ACCEPTED
-    hub.fail_next_ingests(1)
-    with pytest.raises(TransientStoreError):
-        hub.ingest(e)
+    spooled = tmp_path / "siteA.env.jsonl"
+    assert spooled.read_text() == canonical_encode(e) + "\n"
+    spooled.unlink()
+    spooled.mkdir()  # any write to the spool would now fail
+    again = envelope_from_line(canonical_encode(e))  # equal, but another object
+    assert hub.ingest(e) == hub.ingest(again) == Ack(e.envelope_id, AckStatus.DUPLICATE)
     assert hub.envelopes() == [e]
-    assert hub.ingest(e).status is AckStatus.DUPLICATE
+    assert list(spooled.iterdir()) == []
 
 
-def test_retry_succeeds_after_two_failures():
-    hub = Hub()
-    hub.fail_next_ingests(2)
-    sleeps = []
-    acks = submit_batch(InProcessClient(hub), [env_of()], sleep=sleeps.append)
-    assert [a.status for a in acks] == [AckStatus.ACCEPTED]
+def test_retry_succeeds_after_two_failures(tmp_path):
+    hub, blocker = blocked_spool(tmp_path)
+    sleeps, stored = [], []
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        stored.append(hub.stored_count())
+        if len(sleeps) == 2:
+            blocker.rmdir()
+    e = env_of()
+    acks = submit_batch(InProcessClient(hub), [e], sleep=sleep)
+    assert acks == [Ack(e.envelope_id, AckStatus.ACCEPTED)]
     assert sleeps == [0.1, 0.2]  # base 100 ms, factor 2
+    assert stored == [0, 0]  # a failed spool write stores nothing
+    assert hub.envelopes() == [e]
+    assert [envelope_from_line(line) for line in blocker.read_text().splitlines()] == [e]
 
 
 def test_empty_batch():
     assert submit_batch(InProcessClient(Hub()), []) == []
 
 
-def test_permanently_down_hub_exhausts_five_attempts():
-    hub = Hub()
-    hub.fail_next_ingests(10**6)
+def test_permanently_down_hub_exhausts_five_attempts(tmp_path):
+    hub, _ = blocked_spool(tmp_path)
     e1, e2 = env_of(labelset("R1")), env_of(labelset("R2"))
     sleeps = []
     with pytest.raises(DeliveryError) as exc:
@@ -506,6 +534,7 @@ def test_permanently_down_hub_exhausts_five_attempts():
     assert exc.value.undelivered == [e1.envelope_id, e2.envelope_id]
     assert len(sleeps) == 4  # 5 attempts on the first envelope, then abort
     assert sleeps == [0.1, 0.2, 0.4, 0.8]
+    assert hub.stored_count() == 0
 
 
 def test_ack_order_matches_input_order():
@@ -523,14 +552,20 @@ def test_tcp_round_trip():
     assert hub.stored_count() == 1
 
 
-def test_tcp_transient_failure_retried():
-    hub = Hub()
-    hub.fail_next_ingests(1)
-    sleeps = []
+def test_tcp_transient_failure_retried(tmp_path):
+    hub, blocker = blocked_spool(tmp_path)
+    stored = []
+
+    def sleep(seconds):
+        # the connection closed without an ack, and nothing was stored
+        stored.append(hub.stored_count())
+        blocker.rmdir()
+    e = env_of()
     with served(hub) as (host, port), TcpClient(host, port) as client:
-        acks = submit_batch(client, [env_of()], sleep=sleeps.append)
-    assert [a.status for a in acks] == [AckStatus.ACCEPTED]
-    assert len(sleeps) == 1
+        acks = submit_batch(client, [e], sleep=sleep)
+    assert acks == [Ack(e.envelope_id, AckStatus.ACCEPTED)]
+    assert stored == [0]
+    assert hub.envelopes() == [e]
 
 
 def read_ack(sock: socket.socket) -> Ack:
@@ -699,7 +734,7 @@ uids = st.from_regex(r"[A-Za-z0-9._-]{1,12}", fullmatch=True)
 def test_decode_encode_identity_property(site, report, study, n, kind):
     e = make_envelope(site, kind, labelset(report, study, n), NOW)
     frame = encode_envelope(e)
-    back = decode_envelope(frame)
+    back = envelope_from_line(unframe(frame))
     assert back == e
     assert encode_envelope(back) == frame
 
@@ -722,9 +757,9 @@ def test_ingest_rejects_a_digest_mismatch():
     assert hub.ingest(e) == Ack(e.envelope_id, AckStatus.REJECTED,
                                 "payload digest mismatch")
     assert hub.stored_count() == 0
-    # the encoder and the decoder give the same message
+    # the hub's gate and the line decoder give the same message
     with pytest.raises(IntegrityError, match="^payload digest mismatch$"):
-        envelope_to_line(e)
+        envelope_from_line(canonical_encode(e))
 
 
 def report_with(anchor: str) -> InteractiveReport:
@@ -840,20 +875,20 @@ def test_any_payload_under_its_own_digest_gets_an_ack(kind, data):
     ack = hub.ingest(_forged(e, data.draw(mutated(e.payload))))
     assert isinstance(ack, Ack)
     # whatever was accepted reads back
-    assert len(hub.records(e.kind)) == (ack.status is AckStatus.ACCEPTED)
+    assert len(records(hub, e.kind)) == (ack.status is AckStatus.ACCEPTED)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_any_bytes_decode_to_an_envelope_or_a_frame_error(data):
-    line = envelope_to_line(data.draw(st.sampled_from(real_envelopes()))).encode("utf-8")
+    line = canonical_encode(data.draw(st.sampled_from(real_envelopes()))).encode("utf-8")
     i = data.draw(st.integers(0, len(line)))
     body = data.draw(st.binary(max_size=64) | st.builds(
         lambda junk, j: line[:i] + junk + line[j:],
         st.binary(max_size=8), st.integers(i, min(len(line), i + 8))))
-    frame = len(body).to_bytes(4, "big") + body if data.draw(st.booleans()) else body
+    # what the hub's loop does with the body of a whole frame
     try:
-        e = decode_envelope(frame)
-    except FrameError:
-        return
+        e = envelope_from_line(body.decode("utf-8"))
+    except (UnicodeDecodeError, FrameError):
+        return  # either one is answered REJECTED
     assert isinstance(Hub().ingest(e), Ack)

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from conftest import golden_text
+from support import golden_text
 from hypothesis import given, settings, strategies as st
 
 from labelloop.canon import canonical_decode, canonical_encode, digest_text
